@@ -123,27 +123,11 @@ let map_object t ~charge_to ~base ?(obj_page = 0) ?pages ?(global = false) ?(cow
   let before = snapshot_stats t in
   (match page with
   | Page_table.P4K ->
-    if not cow then
-      (* Uniform protection: install the whole run through the batched
-         path (identical PTEs and stats, one leaf-table walk per
-         2 MiB). *)
-      Page_table.map_run ~global ~key t.pt ~va:base ~n:pages
-        ~frames:(Vm_object.frames obj) ~off:obj_page ~prot
-    else
-      for i = 0 to pages - 1 do
-        let page = obj_page + i in
-        let frame = Vm_object.frame_at obj ~page in
-        (* COW: shared pages are installed read-only; the write fault
-           splits them. *)
-        let hw_prot =
-          if Vm_object.page_shared obj ~page then { prot with Prot.write = false }
-          else prot
-        in
-        Page_table.map ~global ~key t.pt
-          ~va:(base + (i * Addr.page_size))
-          ~pa:(Sj_mem.Phys_mem.base_of_frame frame)
-          ~prot:hw_prot ~size:Page_table.P4K
-      done
+    (* COW: shared pages are installed read-only; the write fault
+       splits them. *)
+    let read_only = if cow then Some (fun page -> Vm_object.page_shared obj ~page) else None in
+    Page_table.map_run ~global ~key ?read_only t.pt ~va:base ~n:pages
+      ~frames:(Vm_object.frames obj) ~off:obj_page ~prot
   | Page_table.P2M ->
     let huge = Size.mib 2 / Addr.page_size in
     if cow then Sj_abi.Error.fail Invalid ~op:"vm_map" "COW requires 4 KiB granularity";
@@ -199,17 +183,18 @@ let write_protect_region t ~charge_to ~base =
   | i ->
     let r = t.regions.(i) in
     let before = snapshot_stats t in
-    let step =
-      match r.page with Page_table.P4K -> Addr.page_size | Page_table.P2M -> Size.mib 2
-    in
-    for j = 0 to (r.size / step) - 1 do
-      let va = r.base + (j * step) in
-      match Page_table.walk t.pt ~va with
-      | Some m when m.prot.write ->
-        Page_table.protect t.pt ~va ~size:r.page
-          ~prot:{ m.prot with Prot.write = false }
-      | Some _ | None -> ()
-    done;
+    (match r.page with
+    | Page_table.P4K ->
+      Page_table.write_protect_run t.pt ~va:r.base ~n:(r.size / Addr.page_size)
+    | Page_table.P2M ->
+      for j = 0 to (r.size / Size.mib 2) - 1 do
+        let va = r.base + (j * Size.mib 2) in
+        match Page_table.walk t.pt ~va with
+        | Some m when m.prot.write ->
+          Page_table.protect t.pt ~va ~size:Page_table.P2M
+            ~prot:{ m.prot with Prot.write = false }
+        | Some _ | None -> ()
+      done);
     charge_pt_delta t charge_to before;
     t.regions.(i) <- { r with cow = true }
 

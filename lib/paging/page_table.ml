@@ -98,6 +98,7 @@ let prots =
 let e_table idx = (idx lsl 2) lor 1
 let e_cow_table idx = (idx lsl 2) lor 3
 let cow_bit = 2048 (* bit 11 of a leaf *)
+let write_bit = 2 lsl 4 (* Prot.write within a leaf's bits 4..6 *)
 
 let e_leaf ?(key = 0) ?(cow = false) ~pa ~prot ~size ~global () =
   pa
@@ -332,12 +333,13 @@ let map ?(global = false) ?(key = 0) t ~va ~pa ~prot ~size =
   else invalid_arg (Printf.sprintf "Page_table.map: %s already mapped" (Addr.to_string va))
 
 (* Map [n] consecutive 4 KiB pages starting at [va], page [i] backed by
-   [frames.(off + i)]. Observably identical to [n] single [map] calls —
+   [frames.(off + i)], without write permission where [read_only
+   (off + i)] holds. Observably identical to [n] single [map] calls —
    same PTEs, same stats and live counts, the same error text on a
    mid-run occupied slot — but each 2 MiB leaf table is located once
    for its whole 512-page run instead of once per page. Segment attach
-   loops live on this path. *)
-let map_run ?(global = false) ?(key = 0) t ~va ~n ~frames ~off ~prot =
+   loops, CoW ones included, live on this path. *)
+let map_run ?(global = false) ?(key = 0) ?read_only t ~va ~n ~frames ~off ~prot =
   if n > 0 then begin
     dirty t;
     check_aligned va P4K "map";
@@ -350,6 +352,7 @@ let map_run ?(global = false) ?(key = 0) t ~va ~n ~frames ~off ~prot =
     let bits =
       (key lsl 7) lor (prot_index prot lsl 4) lor (if global then 4 else 0) lor 2
     in
+    let bits_ro = bits land lnot write_bit in
     let i = ref 0 in
     while !i < n do
       let va_i = va + (!i * Addr.page_size) in
@@ -377,8 +380,10 @@ let map_run ?(global = false) ?(key = 0) t ~va ~n ~frames ~off ~prot =
       while (not !fail) && !j < run do
         let slot = slot0 + !j in
         if Pt_store.get store node slot = 0 then begin
+          let k = off + !i + !j in
+          let bits = match read_only with Some ro when ro k -> bits_ro | _ -> bits in
           Pt_store.set store node slot
-            (Phys_mem.base_of_frame (Array.unsafe_get frames (off + !i + !j)) lor bits);
+            (Phys_mem.base_of_frame (Array.unsafe_get frames k) lor bits);
           incr j
         end
         else fail := true
@@ -581,6 +586,66 @@ let protect t ~va ~size ~prot =
       t.stats.pte_writes <- t.stats.pte_writes + 1
     end
     else invalid_arg "Page_table.protect: not mapped"
+  end
+
+(* Read-only locate of the level-1 table translating [va], following
+   tag-3 crossings in place (the table may be shared): -1 when a hole or
+   a read-only larger leaf covers [va], -2 when a writable larger leaf
+   does. *)
+let rec leaf_table t node ~va =
+  let level = Pt_store.level t.store node in
+  if level = 1 then node
+  else
+    let e = Pt_store.get t.store node (index_at ~level va) in
+    match e land 3 with
+    | 1 | 3 -> leaf_table t (e lsr 2) ~va
+    | 2 when e land write_bit <> 0 -> -2
+    | _ -> -1
+
+(* Clear the write bit of every mapped, writable leaf among the [n]
+   4 KiB pages from [va]. Observably identical to walking each page and
+   [protect]ing the writable ones read-only — same PTEs, stats, tables
+   owned and error text — but each 2 MiB leaf table is located once,
+   read-only, and ownership of shared tables is taken only at the first
+   leaf of the table that needs clearing, from the same page the
+   per-page loop would take it. *)
+let write_protect_run t ~va ~n =
+  if n > 0 then begin
+    check_aligned va P4K "protect";
+    if va < 0 || va + ((n - 1) * Addr.page_size) >= Addr.va_limit then
+      invalid_arg "Page_table.protect: VA out of range";
+    let store = t.store in
+    let i = ref 0 in
+    while !i < n do
+      let va_i = va + (!i * Addr.page_size) in
+      let slot0 = index_at ~level:1 va_i in
+      let run = min (n - !i) (Pt_store.slots - slot0) in
+      let node = leaf_table t t.root ~va:va_i in
+      if node = -2 then begin
+        (* The per-page loop's [protect] takes ownership down to the
+           larger leaf and raises there; so does this. *)
+        dirty t;
+        ignore (descend_owned t t.root ~va:va_i ~target_level:1 ~create_missing:false)
+      end
+      else if node >= 0 then begin
+        let owned = ref (-1) in
+        for s = slot0 to slot0 + run - 1 do
+          let e = Pt_store.get store (if !owned >= 0 then !owned else node) s in
+          if e land 3 = 2 && e land write_bit <> 0 then begin
+            if !owned < 0 then begin
+              dirty t;
+              owned :=
+                descend_owned t t.root
+                  ~va:(va_i + ((s - slot0) * Addr.page_size))
+                  ~target_level:1 ~create_missing:false
+            end;
+            Pt_store.set store !owned s (Pt_store.get store !owned s land lnot write_bit);
+            t.stats.pte_writes <- t.stats.pte_writes + 1
+          end
+        done
+      end;
+      i := !i + run
+    done
   end
 
 (* Retag an existing leaf. Mirrors [protect]: rewrites only the key

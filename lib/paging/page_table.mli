@@ -79,13 +79,15 @@ val map :
     paper criticizes in §2.4). *)
 
 val map_run :
-  ?global:bool -> ?key:int ->
+  ?global:bool -> ?key:int -> ?read_only:(int -> bool) ->
   t -> va:int -> n:int -> frames:Sj_mem.Phys_mem.frame array -> off:int -> prot:Prot.t -> unit
 (** Install [n] consecutive 4 KiB mappings starting at [va], page [i]
-    backed by [frames.(off + i)]. Observably identical to [n] {!map}
-    calls (same PTEs, stats, and failure behaviour) but locates each
-    leaf table once per 2 MiB run instead of once per page — the
-    segment attach path for large objects. *)
+    backed by [frames.(off + i)]. Where [read_only (off + i)] holds
+    (default: nowhere) page [i] is installed without write permission —
+    the copy-on-write attach of a partly shared object. Observably
+    identical to [n] {!map} calls (same PTEs, stats, and failure
+    behaviour) but locates each leaf table once per 2 MiB run instead of
+    once per page — the segment attach path for large objects. *)
 
 val unmap : t -> va:int -> size:page_size -> unit
 (** Remove one mapping; raises [Invalid_argument] if absent. Empty
@@ -116,6 +118,17 @@ val walk_cached : t -> walk_cache -> va:int -> mapping option
 
 val protect : t -> va:int -> size:page_size -> prot:Prot.t -> unit
 (** Change the protections of an existing mapping (key tag preserved). *)
+
+val write_protect_run : t -> va:int -> n:int -> unit
+(** Clear the write permission of every mapped, writable leaf among the
+    [n] 4 KiB pages starting at [va]; holes and read-only leaves are
+    left alone. Observably identical to walking each page and calling
+    {!protect} with write cleared where the walk reports a writable
+    mapping (same PTEs, stats, shared tables taken over, and error
+    text), but locates each leaf table once per 2 MiB run, read-only,
+    and takes ownership of shared tables only in runs that hold a leaf
+    to clear. Raises [Invalid_argument] if [va] is unaligned or the
+    range leaves the virtual address space. *)
 
 val set_key : t -> va:int -> size:page_size -> key:int -> unit
 (** Retag an existing mapping with a protection key (protections

@@ -402,6 +402,45 @@ let test_parallel_byte_identity () =
     (fun i r -> Alcotest.(check string) (Printf.sprintf "domain run %d identical" i) serial r)
     results
 
+(* Host allocation on the fork path must not grow with the segment: the
+   CoW attach and the write-protect of the other attachment work one
+   leaf table at a time and allocate nothing per page. Built like the
+   DES engine's steady-state test: the calls under measurement are the
+   only allocation [Gc.minor_words] sees. A first fork, torn down again,
+   leaves the segment CoW-marked with unshared frames, so the attach
+   installs writable leaves and the second fork has to clear them
+   through shared-then-adopted tables — the fork_serve connection
+   shape. *)
+let fork_attach_minor_words size =
+  let _, _, ctx = setup () in
+  let vas = Api.vas_create ctx ~name:"store" ~mode:0o600 in
+  let seg = Api.seg_alloc_anywhere ctx ~name:"data" ~size ~mode:0o600 in
+  Api.seg_attach ctx vas seg ~prot:Prot.rw;
+  let vh = Api.vas_attach ctx vas in
+  let first = Api.vas_fork ctx vh ~name:"first" in
+  let shadow = Api.seg_find ctx ~name:"data@first" in
+  Api.vas_ctl ctx (`Destroy (Api.vas_of_vh first));
+  Api.seg_ctl ctx (`Destroy shadow);
+  let before = Gc.minor_words () in
+  let vh2 = Api.vas_attach ctx vas in
+  let second = Api.vas_fork ctx vh2 ~name:"second" in
+  let words = Gc.minor_words () -. before in
+  ignore (Sys.opaque_identity second);
+  words
+
+let test_fork_minor_words_flat () =
+  let small = fork_attach_minor_words (Size.mib 4) in
+  let large = fork_attach_minor_words (Size.mib 64) in
+  (* Budget: 64 words per extra leaf table (table allocation allocates
+     a little), i.e. under 1/8 word per extra page. Per-page walks
+     allocate an option and a mapping record each: ~10 words a page. *)
+  let extra_pages = float_of_int ((Size.mib 64 - Size.mib 4) / Addr.page_size) in
+  Alcotest.(check bool)
+    (Printf.sprintf "vas_attach + vas_fork: %.0f minor words at 4 MiB, %.0f at 64 MiB" small
+       large)
+    true
+    (large -. small < extra_pages /. 8.)
+
 let suite =
   [
     Alcotest.test_case "vas_fork shares >90% and isolates writes" `Quick
@@ -416,4 +455,6 @@ let suite =
     Alcotest.test_case "-j1 vs -jN byte identity" `Quick test_parallel_byte_identity;
     Alcotest.test_case "empty-fork identity: PR 9 bench baselines" `Quick
       test_empty_fork_identity;
+    Alcotest.test_case "fork path minor words flat in segment size" `Quick
+      test_fork_minor_words_flat;
   ]

@@ -229,6 +229,214 @@ let prop_paging_model =
       done;
       !ok)
 
+(* ---- Range operations vs the per-page loops they replace ------------
+
+   [write_protect_run] and [map_run ~read_only] must be observably
+   identical to the per-page loops Vmspace used before them. Those
+   loops live on here as the model. Twin memories are built from one
+   seeded history, one twin runs the range operation and the other the
+   model, and everything observable is compared: every page's walk
+   ([levels] and [cow] included) in every live table of the fork
+   family, each table's stats and node census, the refcount audit, and
+   the exception text. *)
+
+let per_page_write_protect pt ~va ~n =
+  for j = 0 to n - 1 do
+    let va = va + (j * Addr.page_size) in
+    match Page_table.walk pt ~va with
+    | Some mp when mp.prot.write ->
+      Page_table.protect pt ~va ~size:Page_table.P4K ~prot:{ mp.prot with Prot.write = false }
+    | Some _ | None -> ()
+  done
+
+let per_page_map pt ~va ~n ~frames ~off ~prot ~read_only =
+  for i = 0 to n - 1 do
+    let k = off + i in
+    Page_table.map pt
+      ~va:(va + (i * Addr.page_size))
+      ~pa:(Pm.base_of_frame frames.(k))
+      ~prot:(if read_only k then { prot with Prot.write = false } else prot)
+      ~size:Page_table.P4K
+  done
+
+(* Four 2 MiB leaf tables straddling the 512 GiB PML4 boundary, so runs
+   cross PT, PD and PDPT edges. *)
+let window = (1 lsl 39) - Size.mib 4
+let window_pages = Size.mib 8 / Addr.page_size
+let page_va p = window + (p * Addr.page_size)
+
+type twin = {
+  mem : Pm.t;
+  tables : Page_table.t list; (* the live fork family *)
+  target : Page_table.t;
+  frames : Pm.frame array;
+  first : int; (* the operation's range, in window pages *)
+  pages : int;
+  off : int;
+  shared_pages : bool array; (* a mixed page_shared pattern *)
+}
+
+(* One seeded history: each leaf table of the window is a hole, a
+   2 MiB leaf, or dense or sparse 4 KiB leaves with mixed protections,
+   keys and global bits; the table is forked with [clone_cow], and
+   writes on random sides of the family push the sharing down to PD
+   and PT level and leave CoW bits on adopted and copied leaves. A
+   second fork (refs > 2) and the death of a family member (sole-owner
+   adoption) each happen on some seeds. *)
+let build seed =
+  let rng = Random.State.make [| seed |] in
+  let int n = Random.State.int rng n in
+  let mem = Pm.create ~size:(Size.mib 64) ~numa_nodes:1 in
+  let frames = Pm.alloc_frames mem ~n:window_pages in
+  let pa p = Pm.base_of_frame frames.(p) in
+  let prot () = if int 4 = 0 then Prot.r else Prot.rw in
+  let src = Page_table.create mem in
+  for b = 0 to 3 do
+    match int 8 with
+    | 0 -> ()
+    | 1 ->
+      Page_table.map ~key:(int 4) src ~va:(page_va (b * 512)) ~pa:(Size.mib (2 * (b + 1)))
+        ~prot:(if int 2 = 0 then Prot.r else Prot.rw)
+        ~size:Page_table.P2M
+    | kind ->
+      for s = 0 to 511 do
+        let p = (b * 512) + s in
+        if kind < 5 || int 3 = 0 then
+          Page_table.map ~global:(int 8 = 0) ~key:(int 4) src ~va:(page_va p) ~pa:(pa p)
+            ~prot:(prot ()) ~size:Page_table.P4K
+      done
+  done;
+  let tables = ref [ src; Page_table.clone_cow src ] in
+  let pick () = List.nth !tables (int (List.length !tables)) in
+  let mutate () =
+    for _ = 1 to int 8 do
+      let pt = pick () and p = int window_pages in
+      let va = page_va p in
+      try
+        match int 4 with
+        | 0 -> Page_table.break_cow pt ~va ~pa:(pa (int window_pages))
+        | 1 -> Page_table.protect pt ~va ~size:Page_table.P4K ~prot:(prot ())
+        | 2 -> Page_table.unmap pt ~va ~size:Page_table.P4K
+        | _ -> Page_table.map pt ~va ~pa:(pa p) ~prot:(prot ()) ~size:Page_table.P4K
+      with Invalid_argument _ -> ()
+    done
+  in
+  mutate ();
+  if int 2 = 0 then tables := !tables @ [ Page_table.clone_cow (pick ()) ];
+  mutate ();
+  if int 3 = 0 then begin
+    let victim = pick () in
+    Page_table.destroy victim;
+    tables := List.filter (fun t -> t != victim) !tables
+  end;
+  let target = pick () in
+  (* Map runs start at a hole when there is one, so they succeed or
+     stop at an occupied slot part-way. *)
+  let first =
+    let p = int window_pages in
+    let rec hole q =
+      if q >= window_pages then p
+      else if Page_table.walk target ~va:(page_va q) = None then q
+      else hole (q + 1)
+    in
+    if int 2 = 0 then hole p else p
+  in
+  let pages = 1 + int (if int 2 = 0 then min 64 (window_pages - first) else window_pages - first) in
+  let off = int (window_pages - pages + 1) in
+  let shared_pages = Array.init window_pages (fun _ -> int 2 = 0) in
+  { mem; tables = !tables; target; frames; first; pages; off; shared_pages }
+
+let outcome f = match f () with () -> None | exception Invalid_argument msg -> Some msg
+
+let check_twins ~seed ~got ~want (run : twin) (model : twin) =
+  if got <> want then
+    Alcotest.failf "seed %d: raised %S, the per-page loop %S" seed
+      (Option.value got ~default:"nothing")
+      (Option.value want ~default:"nothing");
+  List.iteri
+    (fun i (a, b) ->
+      if Page_table.stats a <> Page_table.stats b then
+        Alcotest.failf "seed %d, table %d: stats differ" seed i;
+      if Page_table.count_nodes a <> Page_table.count_nodes b then
+        Alcotest.failf "seed %d, table %d: node census differs" seed i;
+      for p = 0 to window_pages - 1 do
+        let va = page_va p in
+        if Page_table.walk a ~va <> Page_table.walk b ~va then
+          Alcotest.failf "seed %d, table %d: walk differs at %s" seed i (Addr.to_string va)
+      done)
+    (List.combine run.tables model.tables);
+  if Page_table.audit run.mem <> Page_table.audit model.mem then
+    Alcotest.failf "seed %d: refcount audit differs" seed;
+  (* Live-slot counts only show when tables empty out: unmap every
+     mapping in the window and compare the pruning. *)
+  let unmap_all pt =
+    for p = 0 to window_pages - 1 do
+      let va = page_va p in
+      match Page_table.walk pt ~va with
+      | Some { size = Page_table.P4K; _ } -> Page_table.unmap pt ~va ~size:Page_table.P4K
+      | Some { size = Page_table.P2M; _ } when va land (Size.mib 2 - 1) = 0 ->
+        Page_table.unmap pt ~va ~size:Page_table.P2M
+      | Some _ | None -> ()
+    done
+  in
+  List.iter2
+    (fun a b ->
+      unmap_all a;
+      unmap_all b)
+    run.tables model.tables;
+  if List.map Page_table.stats run.tables <> List.map Page_table.stats model.tables
+     || Page_table.audit run.mem <> Page_table.audit model.mem
+  then Alcotest.failf "seed %d: tables prune differently once emptied" seed
+
+let seeds = 300
+
+let test_write_protect_run_model () =
+  let cleared = ref 0 and raised = ref 0 in
+  for seed = 1 to seeds do
+    let run = build seed and model = build seed in
+    let before = (Page_table.stats model.target).pte_writes in
+    let got =
+      outcome (fun () -> Page_table.write_protect_run run.target ~va:(page_va run.first) ~n:run.pages)
+    in
+    let want =
+      outcome (fun () ->
+          per_page_write_protect model.target ~va:(page_va model.first) ~n:model.pages)
+    in
+    check_twins ~seed ~got ~want run model;
+    if want <> None then incr raised
+    else if (Page_table.stats model.target).pte_writes > before then incr cleared
+  done;
+  (* The histories must exercise both outcomes, not just agree. *)
+  Alcotest.(check bool)
+    (Printf.sprintf "coverage: %d runs cleared leaves, %d raised" !cleared !raised)
+    true
+    (!cleared > seeds / 4 && !raised > 0)
+
+let test_map_run_read_only_model () =
+  let mapped = ref 0 and mid_run = ref 0 in
+  for seed = 1 to seeds do
+    let run = build seed and model = build seed in
+    let before = (Page_table.stats model.target).pte_writes in
+    let got =
+      outcome (fun () ->
+          Page_table.map_run run.target ~va:(page_va run.first) ~n:run.pages ~frames:run.frames
+            ~off:run.off ~prot:Prot.rw ~read_only:(Array.get run.shared_pages))
+    in
+    let want =
+      outcome (fun () ->
+          per_page_map model.target ~va:(page_va model.first) ~n:model.pages
+            ~frames:model.frames ~off:model.off ~prot:Prot.rw
+            ~read_only:(Array.get model.shared_pages))
+    in
+    check_twins ~seed ~got ~want run model;
+    let wrote = (Page_table.stats model.target).pte_writes > before in
+    if want = None then incr mapped else if wrote then incr mid_run
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "coverage: %d runs mapped, %d failed part-way" !mapped !mid_run)
+    true
+    (!mapped > seeds / 20 && !mid_run > seeds / 20)
+
 let suite =
   [
     Alcotest.test_case "map and walk" `Quick test_map_walk;
@@ -244,4 +452,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_walk_inverts_map;
     QCheck_alcotest.to_alcotest prop_unmap_removes_exactly;
     QCheck_alcotest.to_alcotest prop_paging_model;
+    Alcotest.test_case "write_protect_run = per-page protect loop" `Quick
+      test_write_protect_run_model;
+    Alcotest.test_case "map_run ~read_only = per-page map loop" `Quick
+      test_map_run_read_only_model;
   ]
