@@ -32,9 +32,10 @@ let pow2_label bytes = Printf.sprintf "2^%d" (Size.log2 bytes)
 
 let jobs = ref 1
 
-(* Set by main.ml's --quick: experiments that have a CI-sized mode
-   (currently `cluster`) read it; the table/figure experiments ignore
-   it. The standalone harness.exe has its own --quick. *)
+(* Set by main.ml's --quick: the experiments that have a CI-sized mode
+   (cluster, compartments, explore, fork) read it; the table/figure
+   experiments ignore it. The standalone harness.exe has its own
+   --quick. *)
 let quick = ref false
 
 let pool_cell = ref None

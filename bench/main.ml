@@ -7,7 +7,9 @@
      main.exe [-j N] [--quick] fig1 fig10 ...  run selected experiments
    Experiments: table1 fig1 table2 fig6 fig7 fig8 fig10 fig11 ablations checker micro des faults cluster compartments explore fork
    (fig8 includes fig9; fig11 includes fig12). --quick selects CI
-   sizes for the experiments that have one (cluster).
+   sizes for the experiments that have one (cluster, compartments,
+   explore, fork: the Sj_experiments specs, which write BENCH_*.json
+   and exit 2 on any divergence or failed claim).
 
    -j N fans each experiment's independent trials across N domains
    (default: host cores). Every trial simulates its own machine, so the
@@ -34,11 +36,17 @@ let experiments =
     ("micro", Micro.run);
     ("des", Desbench.run);
     ("faults", Faultbench.run);
-    ("cluster", Clusterbench.run);
-    ("compartments", Compartbench.run);
-    ("explore", Explorebench.run);
-    ("fork", Forkbench.run);
   ]
+  @ List.map
+      (fun spec ->
+        ( Sj_bench.Experiment.name spec,
+          fun () ->
+            match
+              Sj_bench.Experiment.execute ~quick:!Bench_common.quick ~jobs:!Bench_common.jobs spec
+            with
+            | 0 -> ()
+            | code -> exit code ))
+      Sj_experiments.all
 
 let () =
   let jobs = ref (Sj_util.Par.default_size ()) in

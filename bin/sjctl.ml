@@ -601,333 +601,38 @@ let bench_cmd =
        ~doc:"Run the wall-clock bench suite (fast path + domain parallelism)")
     Term.(const run $ quick $ out $ jobs)
 
-let cluster_cmd =
-  let quick =
-    Arg.(
-      value & flag
-      & info [ "quick" ] ~doc:"CI problem sizes (seconds, not minutes)")
-  in
+(* One command per Sj_experiments spec; the shared runner prints the
+   tables, runs the audits and claims, and writes (or refuses) the
+   report. *)
+let experiment_cmd spec =
+  let module E = Sj_bench.Experiment in
+  let quick = Arg.(value & flag & info [ "quick" ] ~doc:"CI problem sizes (seconds, not minutes)") in
   let out =
     Arg.(
       value
-      & opt string "BENCH_cluster.json"
+      & opt string (E.out_path spec)
       & info [ "out"; "o" ] ~docv:"FILE"
-          ~doc:"Write the JSON report (schema spacejmp-bench/4-cluster) to $(docv)")
+          ~doc:(Printf.sprintf "Write the JSON report (schema %s) to $(docv)" (E.schema spec)))
   in
   let jobs =
     Arg.(
       value
       & opt int (Sj_util.Par.default_size ())
       & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:"Fan sweep-grid points across $(docv) domains (wall clock only)")
+          ~doc:"Fan sweep points across $(docv) domains (wall clock only)")
   in
-  let run quick out jobs =
-    if jobs < 1 then begin
-      prerr_endline "cluster: --jobs must be >= 1";
-      exit 2
-    end;
-    let module Cluster = Sj_cluster.Cluster in
-    let module Driver = Sj_cluster.Driver in
-    let module Creport = Sj_cluster.Cluster_report in
-    let { Driver.report; divergences } =
-      Driver.run ~quick ~jobs
-        ~progress:(fun s -> Format.printf "-- %s@." s)
-        ()
-    in
-    let row label (p : Creport.point) =
-      let c = p.Creport.cfg and r = p.Creport.res in
-      Format.printf
-        "%-10s K=%-3d batch=%-3d pipe=%-2d %-10s %10.0f rps  p50 %d p99 %d p999 %d@."
-        label c.Cluster.shards c.Cluster.batch c.Cluster.pipeline
-        (Creport.backend_name c.Cluster.backend)
-        r.Cluster.throughput r.Cluster.p50 r.Cluster.p99 r.Cluster.p999
-    in
-    row "single-op" report.Creport.baseline;
-    row "batched" report.Creport.batched;
-    Format.printf "speedup %.2fx@."
-      (report.Creport.batched.Creport.res.Cluster.throughput
-      /. report.Creport.baseline.Creport.res.Cluster.throughput);
-    List.iter (row "grid") report.Creport.grid;
-    (match report.Creport.fault with
-    | Some { Creport.res = { Cluster.outage = Some o; _ }; _ } ->
-      Format.printf "fault: crashed %d recovered %d (outage %d cycles)@."
-        o.Cluster.crashed_at o.Cluster.recovered_at o.Cluster.outage_cycles
-    | _ -> ());
-    (* Same refusal discipline as `sjctl bench`: no report unless every
-       audit simulated the same world. *)
-    (match divergences with
-    | [] -> ()
-    | ds ->
-      Format.eprintf "cluster: determinism audit divergence (%s)@."
-        (String.concat ", " ds);
-      exit 2);
-    let oc = open_out out in
-    output_string oc (Creport.to_json report);
-    close_out oc;
-    (match Creport.check_file out with
-    | Ok () -> ()
-    | Error es ->
-      List.iter (Format.eprintf "cluster: invalid report: %s@.") es;
-      exit 2);
-    Format.printf "wrote %s@." out
-  in
-  Cmd.v
-    (Cmd.info "cluster"
-       ~doc:
-         "Run the sharded multi-machine KV cluster bench (batched, pipelined \
-          request path; sweep + fault availability + determinism audits)")
-    Term.(const run $ quick $ out $ jobs)
-
-let compartments_cmd =
-  let quick =
-    Arg.(
-      value & flag
-      & info [ "quick" ] ~doc:"CI problem sizes (sub-second)")
-  in
-  let out =
-    Arg.(
-      value
-      & opt string "BENCH_compartments.json"
-      & info [ "out"; "o" ] ~docv:"FILE"
-          ~doc:
-            "Write the JSON report (schema spacejmp-bench/5-compartments) to \
-             $(docv)")
-  in
-  let jobs =
-    Arg.(
-      value
-      & opt int (Sj_util.Par.default_size ())
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:"Fan sweep-grid points across $(docv) domains (wall clock only)")
-  in
-  let run quick out jobs =
-    if jobs < 1 then begin
-      prerr_endline "compartments: --jobs must be >= 1";
-      exit 2
-    end;
-    let module Compart = Sj_compart.Compart in
-    let module Driver = Sj_compart.Driver in
-    let module Creport = Sj_compart.Compart_report in
-    let { Driver.report; divergences; failed_claims } =
-      Driver.run ~quick ~jobs
-        ~progress:(fun s -> Format.printf "-- %s@." s)
-        ()
-    in
-    let row label (p : Creport.point) =
-      let c = p.Creport.cfg and r = p.Creport.res in
-      Format.printf
-        "%-10s %-11s comps=%-2d loads=%-3d %8.2f cycles/crossing  flushes=%d \
-         violations=%d@."
-        label
-        (Compart.mechanism_name c.Compart.mechanism)
-        c.Compart.compartments c.Compart.loads_per_crossing
-        r.Compart.per_crossing r.Compart.flushes r.Compart.violations
-    in
-    List.iter (row "headline") report.Creport.headline;
-    List.iter (row "grid") report.Creport.grid;
-    (* Same refusal discipline as `sjctl cluster`, with the acceptance
-       claims fatal too: no report unless pkey crossings were strictly
-       cheapest, flush-free, and the hostile probes were contained. *)
-    (match failed_claims with
-    | [] -> ()
-    | cs ->
-      List.iter (Format.eprintf "compartments: claim failed: %s@.") cs;
-      exit 2);
-    (match divergences with
-    | [] -> ()
-    | ds ->
-      Format.eprintf "compartments: determinism audit divergence (%s)@."
-        (String.concat ", " ds);
-      exit 2);
-    let oc = open_out out in
-    output_string oc (Creport.to_json report);
-    close_out oc;
-    (match Creport.check_file out with
-    | Ok () -> ()
-    | Error es ->
-      List.iter (Format.eprintf "compartments: invalid report: %s@.") es;
-      exit 2);
-    Format.printf "wrote %s@." out
-  in
-  Cmd.v
-    (Cmd.info "compartments"
-       ~doc:
-         "Run the compartment-crossing bench (vas_switch vs capability \
-          invoke vs protection-key switch; sweep + claims + determinism \
-          audits)")
-    Term.(const run $ quick $ out $ jobs)
-
-let fork_cmd =
-  let quick =
-    Arg.(
-      value & flag
-      & info [ "quick" ] ~doc:"CI problem sizes (a few seconds)")
-  in
-  let out =
-    Arg.(
-      value
-      & opt string "BENCH_fork.json"
-      & info [ "out"; "o" ] ~docv:"FILE"
-          ~doc:
-            "Write the JSON report (schema spacejmp-bench/7-fork) to $(docv)")
-  in
-  let jobs =
-    Arg.(
-      value
-      & opt int (Sj_util.Par.default_size ())
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:"Fan sweep-grid points across $(docv) domains (wall clock only)")
-  in
-  let run quick out jobs =
-    if jobs < 1 then begin
-      prerr_endline "fork: --jobs must be >= 1";
-      exit 2
-    end;
-    let module Kv_fork = Sj_kvstore.Kv_fork in
-    let module Driver = Sj_fork.Driver in
-    let module Freport = Sj_fork.Fork_report in
-    let { Driver.report; divergences; failed_claims } =
-      Driver.run ~quick ~jobs
-        ~progress:(fun s -> Format.printf "-- %s@." s)
-        ()
-    in
-    let row label (p : Freport.point) =
-      let c = p.Freport.cfg and r = p.Freport.res in
-      Format.printf
-        "%-10s %-13s conns=%-3d sets=%.2f %10.0f rps  p50=%.0f p99=%.0f \
-         forks=%d cow_faults=%d share=%d/%d@."
-        label
-        (Kv_fork.mode_name c.Kv_fork.mode)
-        c.Kv_fork.connections c.Kv_fork.set_fraction r.Kv_fork.throughput
-        r.Kv_fork.p50 r.Kv_fork.p99 r.Kv_fork.forks r.Kv_fork.cow_faults
-        r.Kv_fork.share_shared r.Kv_fork.share_total
-    in
-    List.iter (row "headline") report.Freport.headline;
-    List.iter (row "grid") report.Freport.grid;
-    (* Same refusal discipline as `sjctl compartments`, with the
-       acceptance claims fatal too: no report unless the fault storm
-       was measured, the prefork pool stayed fault-free in steady
-       state, the parent's store was unwritten, every family shared
-       >90% of its page-table nodes, and the refcount audit was
-       leak-free. *)
-    (match failed_claims with
-    | [] -> ()
-    | cs ->
-      List.iter (Format.eprintf "fork: claim failed: %s@.") cs;
-      exit 2);
-    (match divergences with
-    | [] -> ()
-    | ds ->
-      Format.eprintf "fork: determinism audit divergence (%s)@."
-        (String.concat ", " ds);
-      exit 2);
-    let oc = open_out out in
-    output_string oc (Freport.to_json report);
-    close_out oc;
-    (match Freport.check_file out with
-    | Ok () -> ()
-    | Error es ->
-      List.iter (Format.eprintf "fork: invalid report: %s@.") es;
-      exit 2);
-    Format.printf "wrote %s@." out
-  in
-  Cmd.v
-    (Cmd.info "fork"
-       ~doc:
-         "Run the fork-serving KV bench (prefork worker pool vs \
-          fork-per-connection snapshots; CoW fault storms + claims + \
-          determinism audits)")
-    Term.(const run $ quick $ out $ jobs)
-
-let explore_cmd =
-  let quick =
-    Arg.(
-      value & flag
-      & info [ "quick" ] ~doc:"CI sweep size (~150 configs, seconds)")
-  in
-  let out =
-    Arg.(
-      value
-      & opt string "BENCH_explore.json"
-      & info [ "out"; "o" ] ~docv:"FILE"
-          ~doc:
-            "Write the JSON report (schema spacejmp-bench/6-explore) to \
-             $(docv)")
-  in
-  let jobs =
-    Arg.(
-      value
-      & opt int (Sj_util.Par.default_size ())
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:"Fan sweep configs across $(docv) domains (wall clock only)")
-  in
-  let run quick out jobs =
-    if jobs < 1 then begin
-      prerr_endline "explore: --jobs must be >= 1";
-      exit 2
-    end;
-    let module Driver = Sj_explore.Driver in
-    let module Ereport = Sj_explore.Explore_report in
-    let { Driver.report; divergences; failed_claims } =
-      Driver.run ~quick ~jobs
-        ~progress:(fun s -> Format.printf "-- %s@." s)
-        ()
-    in
-    Format.printf "sweep: %d configs (%d distinct, %d fuzzed); backends: %s; kinds: %s@."
-      report.Ereport.configs_run report.Ereport.distinct_configs
-      report.Ereport.fuzz_configs
-      (String.concat "," report.Ereport.backends)
-      (String.concat "," report.Ereport.plan_kinds);
-    Format.printf "invariants: %s@."
-      (String.concat ", " (List.map fst report.Ereport.invariants));
-    List.iter
-      (fun (d : Ereport.detail) ->
-        Format.printf "violation [%s] %s seed=%d plan=[%s]%s@.  %s@."
-          d.Ereport.invariant d.Ereport.backend d.Ereport.seed d.Ereport.plan
-          (if d.Ereport.reproduced then "" else " (NOT REPRODUCED)")
-          d.Ereport.message)
-      report.Ereport.details;
-    Format.printf "violations: %d@." report.Ereport.violations;
-    (* Same refusal discipline as the other benches, and an unreproduced
-       violation counts as a divergence: every violation must replay
-       byte-identically from its (backend, seed, plan) key. *)
-    (match failed_claims with
-    | [] -> ()
-    | cs ->
-      List.iter (Format.eprintf "explore: claim failed: %s@.") cs;
-      exit 2);
-    (match divergences with
-    | [] -> ()
-    | ds ->
-      Format.eprintf "explore: divergence or unreproduced violation (%s)@."
-        (String.concat ", " ds);
-      exit 2);
-    let oc = open_out out in
-    output_string oc (Ereport.to_json report);
-    close_out oc;
-    (match Ereport.check_file out with
-    | Ok () -> ()
-    | Error es ->
-      List.iter (Format.eprintf "explore: invalid report: %s@.") es;
-      exit 2);
-    Format.printf "wrote %s@." out
-  in
-  Cmd.v
-    (Cmd.info "explore"
-       ~doc:
-         "Run the invariant-exploration harness (fault plan x schedule x \
-          backend sweep; global invariants after every run; violations \
-          replayed from their (backend, seed, plan) keys)")
-    Term.(const run $ quick $ out $ jobs)
+  let run quick out jobs = exit (E.execute ~out ~quick ~jobs spec) in
+  Cmd.v (Cmd.info (E.name spec) ~doc:(E.doc spec)) Term.(const run $ quick $ out $ jobs)
 
 let () =
   let info = Cmd.info "sjctl" ~doc:"SpaceJMP simulator control tool" in
   let group =
     Cmd.group info
-      [
-        platforms_cmd; gups_cmd; demo_cmd; redis_cmd; faults_cmd; check_cmd; persist_cmd;
-        inspect_cmd; samtools_cmd; bench_cmd; cluster_cmd; compartments_cmd; fork_cmd; explore_cmd; trace_cmd; stats_cmd;
-      ]
+      ([
+         platforms_cmd; gups_cmd; demo_cmd; redis_cmd; faults_cmd; check_cmd; persist_cmd;
+         inspect_cmd; samtools_cmd; bench_cmd; trace_cmd; stats_cmd;
+       ]
+      @ List.map experiment_cmd Sj_experiments.all)
   in
   (* Typed ABI faults (and their legacy exception spellings) become a
      one-line message plus a per-code exit status (10 + errno); anything

@@ -15,7 +15,9 @@
    it never feeds the fingerprints. The emitter never writes a
    divergent report — the harness exits 2 first — but the checker still
    refuses any report that records one, so a report that exists and
-   checks is trustworthy. *)
+   checks is trustworthy. Both go through {!Sj_util.Json}: the emitter
+   builds one value, and the checker parses the full grammar and then
+   applies {!rules}. *)
 
 type bench_report = {
   name : string;
@@ -63,122 +65,77 @@ let detected_cores () =
     if !n > 0 then !n else Domain.recommended_domain_count ()
   with Sys_error _ -> Domain.recommended_domain_count ()
 
+module Json = Sj_util.Json
+
 let to_json r =
-  let b = Buffer.create 4096 in
-  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  add "{\n";
-  add "  \"schema\": \"%s\",\n" schema;
-  add "  \"mode\": \"%s\",\n" (if r.quick then "quick" else "full");
-  add "  \"host\": {\n";
-  add "    \"cores\": %d,\n" r.cores;
-  add "    \"detected_cores\": %d,\n" r.detected_cores;
-  add "    \"ocaml_version\": \"%s\",\n" r.ocaml_version;
-  add "    \"jobs\": %d\n" r.jobs;
-  add "  },\n";
-  add "  \"benches\": [\n";
-  List.iteri
-    (fun i br ->
-      add "    {\n";
-      add "      \"name\": \"%s\",\n" br.name;
-      add "      \"shards\": %d,\n" br.shards;
-      add "      \"placement\": [%s],\n"
-        (String.concat ", "
-           (Array.to_list (Array.map string_of_int br.placement)));
-      add "      \"equal_between_modes\": %b,\n" br.equal_between_modes;
-      add "      \"equal_serial_parallel\": %b,\n" br.equal_serial_parallel;
-      add "      \"wall_slow_s\": %.6f,\n" br.wall_slow;
-      add "      \"wall_fast_s\": %.6f,\n" br.wall_fast;
-      add "      \"wall_parallel_s\": %.6f,\n" br.wall_parallel;
-      add "      \"speedup\": %.3f,\n" (br.wall_slow /. br.wall_fast);
-      add "      \"minor_words\": %.0f,\n" br.minor_words;
-      add "      \"major_words\": %.0f,\n" br.major_words;
-      add "      \"simulated\": {";
-      List.iteri
-        (fun j (k, v) ->
-          if j > 0 then add ", ";
-          add "\"%s\": %d" k v)
-        br.simulated;
-      add "}\n";
-      add (if i = List.length r.benches - 1 then "    }\n" else "    },\n"))
-    r.benches;
-  add "  ],\n";
+  let bench br =
+    Json.Obj
+      [
+        ("name", Json.Str br.name);
+        ("shards", Json.int br.shards);
+        ("placement", Json.ints (Array.to_list br.placement));
+        ("equal_between_modes", Json.Bool br.equal_between_modes);
+        ("equal_serial_parallel", Json.Bool br.equal_serial_parallel);
+        ("wall_slow_s", Json.float 6 br.wall_slow);
+        ("wall_fast_s", Json.float 6 br.wall_fast);
+        ("wall_parallel_s", Json.float 6 br.wall_parallel);
+        ("speedup", Json.float 3 (br.wall_slow /. br.wall_fast));
+        ("minor_words", Json.float 0 br.minor_words);
+        ("major_words", Json.float 0 br.major_words);
+        ("simulated", Json.counts br.simulated);
+      ]
+  in
   let tot_slow = List.fold_left (fun a br -> a +. br.wall_slow) 0. r.benches in
   let tot_fast = List.fold_left (fun a br -> a +. br.wall_fast) 0. r.benches in
-  add "  \"aggregate\": {\n";
-  add "    \"wall_slow_s\": %.6f,\n" tot_slow;
-  add "    \"wall_fast_s\": %.6f,\n" tot_fast;
-  add "    \"speedup\": %.3f,\n" (tot_slow /. tot_fast);
-  add "    \"wall_serial_s\": %.6f,\n" r.wall_serial;
-  add "    \"wall_parallel_s\": %.6f,\n" r.wall_parallel;
-  (* Four decimals: on a single-core host this ratio's honest ceiling
-     is ~1.0, and whether sharding overhead is above or below zero
-     lives in the fourth digit. *)
-  add "    \"parallel_speedup\": %.4f\n" (r.wall_serial /. r.wall_parallel);
-  add "  }\n}\n";
-  Buffer.contents b
+  Json.to_string
+    (Json.Obj
+       [
+         ("schema", Json.Str schema);
+         ("mode", Json.Str (if r.quick then "quick" else "full"));
+         ( "host",
+           Json.Obj
+             [
+               ("cores", Json.int r.cores);
+               ("detected_cores", Json.int r.detected_cores);
+               ("ocaml_version", Json.Str r.ocaml_version);
+               ("jobs", Json.int r.jobs);
+             ] );
+         ("benches", Json.Arr (List.map bench r.benches));
+         ( "aggregate",
+           Json.Obj
+             [
+               ("wall_slow_s", Json.float 6 tot_slow);
+               ("wall_fast_s", Json.float 6 tot_fast);
+               ("speedup", Json.float 3 (tot_slow /. tot_fast));
+               ("wall_serial_s", Json.float 6 r.wall_serial);
+               ("wall_parallel_s", Json.float 6 r.wall_parallel);
+               (* Four decimals: on a single-core host this ratio's
+                  honest ceiling is ~1.0, and whether sharding overhead
+                  is above or below zero lives in the fourth digit. *)
+               ("parallel_speedup", Json.float 4 (r.wall_serial /. r.wall_parallel));
+             ] );
+       ])
 
-(* Minimal structural validation of an emitted report: no JSON library
-   in the tree, so check nesting balance (outside strings) and the
-   presence of required keys; refuse any recorded divergence. *)
+let rules =
+  let each p = List.map (fun k -> p ^ "." ^ k) in
+  (("schema=" ^ Json.to_line (Json.Str schema)) :: "mode"
+   :: each "host" [ "cores"; "detected_cores"; "ocaml_version"; "jobs" ])
+  @ each "benches.*"
+      [
+        "name"; "shards"; "placement"; "equal_between_modes=true";
+        "equal_serial_parallel=true"; "wall_slow_s"; "wall_fast_s";
+        "wall_parallel_s"; "speedup"; "minor_words"; "major_words"; "simulated";
+      ]
+  @ each "aggregate"
+      [
+        "wall_slow_s"; "wall_fast_s"; "speedup"; "wall_serial_s"; "wall_parallel_s";
+        "parallel_speedup";
+      ]
+
+let check v = match Json.check rules v with [] -> Ok () | es -> Error es
+
 let check_string s =
-  let depth = ref 0 and in_str = ref false and ok = ref true in
-  String.iteri
-    (fun i ch ->
-      if !in_str then begin
-        if ch = '"' && (i = 0 || s.[i - 1] <> '\\') then in_str := false
-      end
-      else
-        match ch with
-        | '"' -> in_str := true
-        | '{' | '[' -> incr depth
-        | '}' | ']' ->
-          decr depth;
-          if !depth < 0 then ok := false
-        | _ -> ())
-    s;
-  if !depth <> 0 || !in_str then ok := false;
-  let required =
-    [
-      Printf.sprintf "\"schema\": \"%s\"" schema;
-      "\"host\"";
-      "\"cores\"";
-      "\"ocaml_version\"";
-      "\"jobs\"";
-      "\"detected_cores\"";
-      "\"placement\"";
-      "\"benches\"";
-      "\"aggregate\"";
-      "\"shards\"";
-      "\"speedup\"";
-      "\"minor_words\"";
-      "\"major_words\"";
-      "\"wall_slow_s\"";
-      "\"wall_fast_s\"";
-      "\"wall_serial_s\"";
-      "\"wall_parallel_s\"";
-      "\"parallel_speedup\"";
-      "\"simulated\"";
-    ]
-  in
-  let contains sub =
-    let n = String.length s and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-    go 0
-  in
-  let errors = ref [] in
-  List.iter
-    (fun key -> if not (contains key) then errors := Printf.sprintf "missing key %s" key :: !errors)
-    required;
-  if contains "\"equal_between_modes\": false" then
-    errors := "report records a fast/slow divergence" :: !errors;
-  if contains "\"equal_serial_parallel\": false" then
-    errors := "report records a serial/parallel divergence" :: !errors;
-  if not !ok then errors := "unbalanced JSON nesting" :: !errors;
-  match !errors with [] -> Ok () | es -> Error (List.rev es)
+  match Json.parse s with Ok v -> check v | Error m -> Error [ m ]
 
 let check_file path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  check_string s
+  match Json.read_file path with Ok v -> check v | Error m -> Error [ m ]

@@ -43,9 +43,12 @@ val detected_cores : unit -> int
 
 val to_json : t -> string
 
+val rules : string list
+(** The {!Sj_util.Json.check} rules of a v4 report: the schema, every
+    required key at its path, and no recorded divergence
+    ([equal_between_modes] and [equal_serial_parallel] true). *)
+
 val check_string : string -> (unit, string list) result
-(** Structural validation: balanced nesting, required v4 keys present,
-    and no recorded divergence ([equal_between_modes] or
-    [equal_serial_parallel] false). *)
+(** Parse the full JSON grammar, then apply {!rules}. *)
 
 val check_file : string -> (unit, string list) result

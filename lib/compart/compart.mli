@@ -2,8 +2,9 @@
     through each of the three isolation mechanisms — Dragonfly
     vas_switch (CR3 reload), Barrelfish capability invoke, and
     protection-key switch (register write, zero flushes) — so their
-    crossing costs are directly comparable. {!Driver} sweeps the grid
-    and audits determinism; this module is one deterministic point. *)
+    crossing costs are directly comparable. The [compartments]
+    experiment ([lib/experiments]) sweeps the grid and audits
+    determinism; this module is one deterministic point. *)
 
 type mechanism =
   | Vas_reload  (** Dragonfly: one VAS per compartment, switch = CR3 *)

@@ -1,0 +1,1 @@
+let all = [ Cluster_spec.spec; Compart_spec.spec; Explore_spec.spec; Fork_spec.spec ]

@@ -41,6 +41,16 @@ let mechanism_name cfg =
   | Switch, Api.Dragonfly -> "vas_reload"
   | Switch, Api.Barrelfish -> "cap_invoke"
 
+let kind_of_fault = function
+  | Plan.Kill_at_syscall _ -> "kill_at_syscall"
+  | Plan.Kill_holding_lock _ -> "kill_holding_lock"
+  | Plan.Would_block_storm _ -> "would_block_storm"
+  | Plan.Grow_fail _ -> "grow_fail"
+  | Plan.Torn_write _ -> "torn_write"
+
+let all_kinds =
+  [ "kill_at_syscall"; "kill_holding_lock"; "would_block_storm"; "grow_fail"; "torn_write" ]
+
 let key cfg =
   sp "%s seed=%d%s plan=[%s]" (backend_name cfg.backend) cfg.seed
     (if cfg.fork then " fork" else "")

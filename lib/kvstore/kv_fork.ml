@@ -24,9 +24,9 @@
    ambient tracing, so the trace-on audit cannot change behaviour). The
    measured per-request service cycles come from the simulated core;
    the DES engine then replays connection arrivals against a bounded
-   core pool for throughput. All claims the driver checks (fault-storm
-   presence/absence, parent-checksum stability, >90% page-table
-   sharing) are computed here, next to the workload. *)
+   core pool for throughput. All claims the fork experiment checks
+   (fault-storm presence/absence, parent-checksum stability, >90%
+   page-table sharing) are computed here, next to the workload. *)
 
 open Sj_util
 module Machine = Sj_machine.Machine

@@ -3,8 +3,8 @@
    begin/end pairs ("B"/"E"); everything else is a thread-scoped instant
    ("i"). [ts] is the event's simulated cycle count, [tid] the emitting
    core, so the rendered timeline is the simulated machine, not the
-   host. Hand-rolled with Buffer — the toolchain has no JSON library,
-   and the event payloads are all printf-safe scalars. *)
+   host. Written with Buffer: the event payloads are all printf-safe
+   scalars. *)
 
 let event_json (e : Event.t) =
   let name = Event.name e.kind in
@@ -39,150 +39,13 @@ let to_text events =
     events;
   Buffer.contents b
 
-(* Minimal JSON well-formedness checker used by the trace-shape tests
-   (and available to callers that want a sanity pass before shipping a
-   file to Perfetto). Recursive descent over the full grammar; on
-   success additionally requires a top-level object with a
-   "traceEvents" array. *)
-
-exception Bad of string
-
+(* Well-formedness check used by the trace-shape tests (and available
+   to callers that want a sanity pass before shipping a file to
+   Perfetto): the full JSON grammar via {!Sj_util.Json.parse}, then a
+   top-level object with a "traceEvents" member. *)
 let check_string s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let bad fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt in
-  let skip_ws () =
-    while
-      !pos < n
-      && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-    do
-      advance ()
-    done
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | Some c' -> bad "expected '%c' at %d, got '%c'" c !pos c'
-    | None -> bad "expected '%c' at %d, got end of input" c !pos
-  in
-  let parse_string () =
-    expect '"';
-    let fin = ref false in
-    while not !fin do
-      match peek () with
-      | None -> bad "unterminated string at %d" !pos
-      | Some '"' -> advance (); fin := true
-      | Some '\\' ->
-          advance ();
-          (match peek () with
-          | Some ('"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't') -> advance ()
-          | Some 'u' ->
-              advance ();
-              for _ = 1 to 4 do
-                match peek () with
-                | Some ('0' .. '9' | 'a' .. 'f' | 'A' .. 'F') -> advance ()
-                | _ -> bad "bad \\u escape at %d" !pos
-              done
-          | _ -> bad "bad escape at %d" !pos)
-      | Some _ -> advance ()
-    done
-  in
-  let parse_number () =
-    (match peek () with Some '-' -> advance () | _ -> ());
-    let digits = ref 0 in
-    let eat_digits () =
-      while (match peek () with Some '0' .. '9' -> true | _ -> false) do
-        incr digits;
-        advance ()
-      done
-    in
-    eat_digits ();
-    if !digits = 0 then bad "expected digit at %d" !pos;
-    (match peek () with
-    | Some '.' ->
-        advance ();
-        digits := 0;
-        eat_digits ();
-        if !digits = 0 then bad "expected fraction digit at %d" !pos
-    | _ -> ());
-    match peek () with
-    | Some ('e' | 'E') ->
-        advance ();
-        (match peek () with Some ('+' | '-') -> advance () | _ -> ());
-        digits := 0;
-        eat_digits ();
-        if !digits = 0 then bad "expected exponent digit at %d" !pos
-    | _ -> ()
-  in
-  let parse_literal lit =
-    String.iter
-      (fun c ->
-        match peek () with
-        | Some c' when c' = c -> advance ()
-        | _ -> bad "expected %S at %d" lit !pos)
-      lit
-  in
-  (* parse_value returns the set of member keys when the value is an
-     object, so the caller can check for required keys. *)
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        let keys = ref [] in
-        (match peek () with
-        | Some '}' -> advance ()
-        | _ ->
-            let fin = ref false in
-            while not !fin do
-              skip_ws ();
-              let kstart = !pos + 1 in
-              parse_string ();
-              keys := String.sub s kstart (!pos - kstart - 1) :: !keys;
-              skip_ws ();
-              expect ':';
-              ignore (parse_value ());
-              skip_ws ();
-              match peek () with
-              | Some ',' -> advance ()
-              | Some '}' -> advance (); fin := true
-              | _ -> bad "expected ',' or '}' at %d" !pos
-            done);
-        `Obj !keys
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        (match peek () with
-        | Some ']' -> advance ()
-        | _ ->
-            let fin = ref false in
-            while not !fin do
-              ignore (parse_value ());
-              skip_ws ();
-              match peek () with
-              | Some ',' -> advance ()
-              | Some ']' -> advance (); fin := true
-              | _ -> bad "expected ',' or ']' at %d" !pos
-            done);
-        `Arr
-    | Some '"' -> parse_string (); `Other
-    | Some ('-' | '0' .. '9') -> parse_number (); `Other
-    | Some 't' -> parse_literal "true"; `Other
-    | Some 'f' -> parse_literal "false"; `Other
-    | Some 'n' -> parse_literal "null"; `Other
-    | Some c -> bad "unexpected '%c' at %d" c !pos
-    | None -> bad "unexpected end of input at %d" !pos
-  in
-  match
-    let v = parse_value () in
-    skip_ws ();
-    if !pos <> n then bad "trailing garbage at %d" !pos;
-    v
-  with
-  | `Obj keys when List.mem "traceEvents" keys -> Ok ()
-  | `Obj _ -> Error "top-level object lacks \"traceEvents\""
-  | `Arr | `Other -> Error "top-level value is not an object"
-  | exception Bad m -> Error m
+  match Sj_util.Json.parse s with
+  | Ok (Sj_util.Json.Obj kvs) when List.mem_assoc "traceEvents" kvs -> Ok ()
+  | Ok (Sj_util.Json.Obj _) -> Error "top-level object lacks \"traceEvents\""
+  | Ok _ -> Error "top-level value is not an object"
+  | Error m -> Error m

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Fork-coverage lint, run on every `dune runtest`.
 #
-# The μFork subsystem (lib/fork + the kernel CoW machinery) makes two
+# The μFork subsystem (the kernel CoW machinery, measured by the fork
+# experiment in lib/experiments/fork_spec.ml) makes two
 # accounting promises that would rot silently if a refactor dropped a
 # call site:
 #
@@ -20,8 +21,9 @@ sys=lib/abi/sys.ml
 api=lib/core/api.ml
 event=lib/obs/event.ml
 metrics=lib/obs/metrics.ml
+spec=lib/experiments/fork_spec.ml
 
-for f in $sys $api $event $metrics; do
+for f in $sys $api $event $metrics $spec; do
   [ -f "$f" ] || {
     echo "lint_fork: $f not found (run from the repo root)" >&2
     exit 1
@@ -73,8 +75,12 @@ for m in forks cow_faults cow_copies; do
   grep -qE "Metrics\.$m" lib/kvstore/kv_fork.ml \
     || fail "the fork workload no longer reads Metrics.$m (lib/kvstore/kv_fork.ml)"
 done
-grep -qE "cow_faults" lib/fork/driver.ml \
-  || fail "the fork driver no longer evaluates the CoW fault-storm claim (lib/fork/driver.ml)"
+# The fork experiment still registers the CoW fault-storm claim, and
+# the claim still reads the fault count.
+grep -qE '"fault_storm_measured", fault_storm' "$spec" \
+  || fail "the fork experiment no longer registers the CoW fault-storm claim ($spec)"
+grep -qE 'cow_faults = 0' "$spec" \
+  || fail "the fork experiment's fault-storm claim no longer reads cow_faults ($spec)"
 
 # The explorer sweeps the fork entries (kill plans at the fork syscalls).
 for nr in Vas_fork Proc_fork; do

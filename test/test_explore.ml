@@ -408,10 +408,10 @@ let test_enumeration_covers_dimensions () =
   Alcotest.(check int) "no duplicate configs" (List.length cfgs) (List.length keys);
   let kinds =
     List.sort_uniq compare
-      (List.concat_map (fun c -> List.map Sj_explore.Driver.kind_of_fault c.Explore.plan) cfgs)
+      (List.concat_map (fun c -> List.map Explore.kind_of_fault c.Explore.plan) cfgs)
   in
   Alcotest.(check (list string)) "all five plan kinds swept"
-    (List.sort compare Sj_explore.Driver.all_kinds) kinds;
+    (List.sort compare Explore.all_kinds) kinds;
   Alcotest.(check int) "both backends swept" 2
     (List.length
        (List.sort_uniq compare (List.map (fun c -> Explore.backend_name c.Explore.backend) cfgs)));

@@ -132,8 +132,63 @@ let prop_percentile_monotone =
       let a = Array.of_list xs in
       Stats.percentile a 25.0 <= Stats.percentile a 75.0)
 
+(* The report printer's layout, and the parser reading it back. *)
+let test_json_layout () =
+  let v =
+    Json.Obj
+      [
+        ("s", Json.Str "a\"b\\");
+        ("row", Json.counts [ ("x", 1); ("y", -2) ]);
+        ("flat", Json.ints [ 1; 2 ]);
+        ("nested", Json.Arr [ Json.ints [ 3 ]; Json.Obj [ ("f", Json.float 2 1.005) ] ]);
+        ("empty", Json.Arr []);
+        ("nan", Json.float 3 Float.nan);
+      ]
+  in
+  let text = Json.to_string v in
+  checks "layout"
+    "{\n\
+    \  \"s\": \"a\\\"b\\\\\",\n\
+    \  \"row\": {\"x\": 1, \"y\": -2},\n\
+    \  \"flat\": [1, 2],\n\
+    \  \"nested\": [\n\
+    \    [3],\n\
+    \    {\n\
+    \      \"f\": 1.00\n\
+    \    }\n\
+    \  ],\n\
+    \  \"empty\": [],\n\
+    \  \"nan\": null\n\
+     }\n"
+    text;
+  match Json.parse text with
+  | Error e -> Alcotest.fail e
+  | Ok back ->
+    checks "reparsed, one line" (Json.to_line v) (Json.to_line back);
+    checkb "string unescaped" true (Json.member "s" back = Some (Json.Str "a\"b\\"))
+
+let test_json_rejects () =
+  List.iter
+    (fun s -> checkb ("rejects " ^ s) true (Result.is_error (Json.parse s)))
+    [ ""; "{"; "[1,]"; "{\"a\" 1}"; "{\"a\":1,}"; "\"\\\""; "01x"; "1."; "tru"; "[1] 2" ];
+  checkb "accepts unicode escape" true (Json.parse "\"\\u00e9\"" = Ok (Json.Str "\xc3\xa9"))
+
+let test_json_check () =
+  let v =
+    match Json.parse {|{"a": {"ok": true}, "l": [{"k": 1}, {"k": 2}], "e": []}|} with
+    | Ok v -> v
+    | Error e -> Alcotest.fail e
+  in
+  Alcotest.(check (list string)) "holds" [] (Json.check [ "a.ok=true"; "l.*.k"; "e.*.k" ] v);
+  Alcotest.(check (list string)) "breaks"
+    [ "missing a.no"; "l.*.k is not 1"; "missing l.*.j" ]
+    (Json.check [ "a.no"; "l.*.k=1"; "l.*.j" ] v)
+
 let suite =
   [
+    Alcotest.test_case "json layout and round trip" `Quick test_json_layout;
+    Alcotest.test_case "json parser rejects malformed text" `Quick test_json_rejects;
+    Alcotest.test_case "json key-path rules" `Quick test_json_check;
     Alcotest.test_case "size constants" `Quick test_size_constants;
     Alcotest.test_case "size pretty-print" `Quick test_size_pp;
     Alcotest.test_case "is_power_of_two" `Quick test_power_of_two;
