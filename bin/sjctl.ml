@@ -417,7 +417,8 @@ let traced_session ~capacity =
       let consumer = Process.create ~name:"consumer" machine in
       let ctx2 = Api.context sys consumer (Machine.core machine 1) in
       let vh2 = Api.vas_attach ctx2 (Api.vas_find ctx2 ~name:"traced") in
-      (try Api.vas_switch ctx2 vh2 with Errors.Would_block _ -> ());
+      (try Api.vas_switch ctx2 vh2
+       with Sj_abi.Error.Fault { code = Would_block; _ } -> ());
       (* Snapshot while mapped: write-protects the original everywhere
          (machine-wide TLB shootdown), so the next store COW-faults. *)
       ignore (Api.seg_snapshot ctx seg ~name:"traced-snap");
@@ -634,13 +635,14 @@ let () =
        ]
       @ List.map experiment_cmd Sj_experiments.all)
   in
-  (* Typed ABI faults (and their legacy exception spellings) become a
-     one-line message plus a per-code exit status (10 + errno); anything
-     else is a crash and keeps its backtrace. *)
-  try exit (Cmd.eval ~catch:false group)
-  with e -> (
-    match Sj_core.Errors.fault_of_exn e with
-    | Some f ->
-      prerr_endline ("sjctl: " ^ Sj_abi.Error.to_string f);
-      exit (Sj_abi.Error.exit_code f.code)
-    | None -> raise e)
+  (* A typed ABI fault becomes a one-line message plus a per-code exit
+     status (10 + errno). Physical exhaustion outside an ABI entry (a
+     CoW break on a data access, a restore rebuilding segments) exits
+     as Capacity; anything else is a crash and keeps its backtrace. *)
+  try exit (Cmd.eval ~catch:false group) with
+  | Sj_abi.Error.Fault f ->
+    prerr_endline ("sjctl: " ^ Sj_abi.Error.to_string f);
+    exit (Sj_abi.Error.exit_code f.code)
+  | Sj_machine.Machine.Out_of_memory ->
+    prerr_endline "sjctl: out of physical memory (ENOSPC)";
+    exit (Sj_abi.Error.exit_code Capacity)

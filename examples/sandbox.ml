@@ -76,7 +76,7 @@ let () =
   (try
      ignore (Api.vas_attach pctx (Api.vas_find pctx ~name:"host-private"));
      print_endline "BUG: private VAS attached"
-   with Errors.Permission_denied _ ->
+   with Sj_abi.Error.Fault { code = Permission_denied; _ } ->
      print_endline "attach of host-private -> Permission_denied (ACL)");
 
   (* The host can still read the plugin's published result. *)

@@ -19,11 +19,25 @@ let fail code ~op detail = raise (Fault (make code ~op detail))
 let failf code ~op fmt = Printf.ksprintf (fail code ~op) fmt
 let code_of t = t.code
 
+(* The codes in errno order, as a wildcard-free successor chain: a new
+   constructor does not compile until it has a place in the chain, so
+   [all_codes] cannot silently miss it. *)
+let next_code = function
+  | None -> Some Permission_denied
+  | Some Permission_denied -> Some Would_block
+  | Some Would_block -> Some Name_exists
+  | Some Name_exists -> Some Unknown_name
+  | Some Unknown_name -> Some Stale_handle
+  | Some Stale_handle -> Some Address_conflict
+  | Some Address_conflict -> Some Layout_exhausted
+  | Some Layout_exhausted -> Some Invalid
+  | Some Invalid -> Some Capacity
+  | Some Capacity -> Some Key_violation
+  | Some Key_violation -> None
+
 let all_codes =
-  [
-    Permission_denied; Would_block; Name_exists; Unknown_name; Stale_handle;
-    Address_conflict; Layout_exhausted; Invalid; Capacity; Key_violation;
-  ]
+  let rec from c = match next_code c with None -> [] | Some c' -> c' :: from (Some c') in
+  from None
 
 let code_name = function
   | Permission_denied -> "EPERM"

@@ -4,9 +4,9 @@
     errno-style codes, carried in a {!t} together with the operation
     that failed and a human-readable detail string. Kernel- and
     core-layer code raises {!Fault}; the dispatch table ({!Sys.invoke})
-    converts it into [('a, t) result] at the boundary, and the
-    exception-compatible [Api] wrapper re-raises the legacy
-    [Sj_core.Errors] exception for callers that still want one.
+    converts it into [('a, t) result] at the boundary ([Api.Checked]),
+    and the raising [Api] surface re-raises the same {!Fault}. There is
+    no other error exception.
 
     The two OS personalities differ in how a fault travels (DragonFly:
     syscall error return; Barrelfish: RPC error reply) but not in what
@@ -44,7 +44,9 @@ val failf : code -> op:string -> ('a, unit, string, 'b) format4 -> 'a
 val code_of : t -> code
 
 val all_codes : code list
-(** Every code, in errno order — tests iterate this to prove coverage. *)
+(** Every code, in errno order — tests iterate this to prove coverage.
+    Built from a wildcard-free successor chain, so a new constructor
+    does not compile until it is listed here. *)
 
 val code_name : code -> string
 (** Errno-style mnemonic, e.g. ["EPERM"], ["ELAYOUT"]. *)

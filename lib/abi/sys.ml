@@ -157,9 +157,10 @@ let count t nr =
   t.counts.(i) <- t.counts.(i) + 1
 
 (* Observability: every dispatched entry brackets itself with
-   Syscall_enter/Syscall_exit events (test/lint_obs.sh holds this
-   invariant). The recorder guard keeps the disabled path allocation-
-   free: no event record exists unless tracing is on. *)
+   Syscall_enter/Syscall_exit events (a test_obs case dispatches every
+   entry and holds this invariant). The recorder guard keeps the
+   disabled path allocation-free: no event record exists unless
+   tracing is on. *)
 module Recorder = Sj_obs.Recorder
 
 let emit_enter core nr =
@@ -207,6 +208,9 @@ let invoke t ~cost core nr body =
   | exception Error.Fault f ->
     finish false;
     Error f
+  | exception Sj_machine.Machine.Out_of_memory ->
+    finish false;
+    Error (Error.make Capacity ~op:(name nr) "out of physical memory")
   | exception e ->
     finish false;
     raise e

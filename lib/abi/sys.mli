@@ -86,9 +86,12 @@ val invoke : t -> cost:Cost_model.t -> Core.core -> nr -> (unit -> 'a) -> ('a, E
 (** [invoke t ~cost core nr body] is the ABI boundary: bumps the
     call counter, charges {!entry_cost} to [core], runs [body], and
     accounts the full simulated-cycle delta of the call to [nr].
-    {!Error.Fault} raised by [body] becomes [Error _]; every other
-    exception (page faults, host errors) propagates unchanged. When the
-    simulation's [Sj_obs] recorder is active, the call is bracketed with
+    {!Error.Fault} raised by [body] becomes [Error _], and so does
+    physical-memory exhaustion ([Machine.Out_of_memory]), as a
+    [Capacity] fault whose [op] is the entry's {!name}. Every other
+    exception (simulated page, protection and key faults, an injected
+    kill, host errors) propagates unchanged. When the simulation's
+    [Sj_obs] recorder is active, the call is bracketed with
     [Syscall_enter]/[Syscall_exit] events carrying the cycle delta and
     fault outcome — this one site instruments every dispatch entry. *)
 

@@ -402,7 +402,8 @@ let call ctx nr body =
   in
   Sys.invoke ctx.sys.tab ~cost:(cost ctx) ctx.core nr body
 
-let ok_exn = function Ok v -> v | Error f -> Errors.raise_legacy f
+(* The raising surface: a failed entry re-raises its typed fault. *)
+let ok_exn = function Ok v -> v | Error f -> raise (Error.Fault f)
 
 let check_acl ctx acl access ~op detail =
   if not (Acl.check acl (Process.cred ctx.proc) access) then
@@ -1336,8 +1337,6 @@ let seg_ctl_c ctx cmd =
 
 (* -------------------- Runtime heaps -------------------- *)
 
-exception Out_of_memory = Sj_mem.Phys_mem.Out_of_memory
-
 let segments_of_current ctx =
   match ctx.cur with
   | None -> []
@@ -1445,7 +1444,7 @@ module Checked = struct
   let proc_fork = proc_fork_c
 end
 
-(* -------------------- Legacy exception-style surface -------------------- *)
+(* -------------------- Raising surface -------------------- *)
 
 let vas_create ctx ~name ~mode = ok_exn (vas_create_c ctx ~name ~mode)
 let vas_find ctx ~name = ok_exn (vas_find_c ctx ~name)

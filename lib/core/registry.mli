@@ -22,10 +22,10 @@ val machine : t -> Sj_machine.Machine.t
 (** {2 VASes} *)
 
 val register_vas : t -> Vas.t -> unit
-(** Raises [Errors.Name_exists] on duplicate names. *)
+(** Raises the typed [Name_exists] fault on duplicate names. *)
 
 val find_vas : t -> name:string -> Vas.t
-(** Raises [Errors.Unknown_name]. *)
+(** Raises the typed [Unknown_name] fault. *)
 
 val find_vas_by_id : t -> int -> Vas.t
 val unregister_vas : t -> Vas.t -> unit
@@ -119,8 +119,8 @@ val root_cap : t -> Vas.t -> Sj_kernel.Cap.t
 (** {2 Per-system services} *)
 
 val set_service : t -> name:string -> service -> unit
-(** Raises [Errors.Name_exists] on duplicate names (namespace the name
-    with the service kind, e.g. ["redisjmp:" ^ store]). *)
+(** Raises the typed [Name_exists] fault on duplicate names (namespace
+    the name with the service kind, e.g. ["redisjmp:" ^ store]). *)
 
 val find_service : t -> name:string -> service option
 val remove_service : t -> name:string -> unit

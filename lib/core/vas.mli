@@ -41,9 +41,10 @@ val segments : t -> (Segment.t * Sj_paging.Prot.t) list
     base address. *)
 
 val attach_segment : t -> Segment.t -> prot:Sj_paging.Prot.t -> unit
-(** Add a segment. Raises [Errors.Address_conflict] on range overlap
-    with an existing segment, [Invalid_argument] if [prot] exceeds the
-    segment's maximum protection. *)
+(** Add a segment. Raises the typed [Address_conflict] fault on range
+    overlap with an existing segment, [Permission_denied] if [prot]
+    exceeds the segment's maximum protection, and [Stale_handle] once
+    the VAS is destroyed. *)
 
 val detach_segment : t -> Segment.t -> unit
 val find_segment_by_sid : t -> int -> (Segment.t * Sj_paging.Prot.t) option

@@ -9,6 +9,7 @@
 module Explore = Sj_explore.Explore
 module Invariant = Sj_explore.Invariant
 module Json = Sj_util.Json
+module Plan = Sj_fault.Plan
 
 type detail = { res : Explore.result; invariant : string; message : string; reproduced : bool }
 type r = { cfgs : Explore.config list; results : Explore.result list; details : detail list }
@@ -17,7 +18,7 @@ let distinct cfgs = List.length (List.sort_uniq compare (List.map Explore.key cf
 let fuzzed r = List.length (List.filter (fun (c : Explore.config) -> c.seed >= 1000) r.cfgs)
 let sorted f r = List.sort_uniq compare (List.concat_map f r.cfgs)
 let backends = sorted (fun c -> [ Explore.backend_name c.backend ])
-let plan_kinds = sorted (fun c -> List.map Explore.kind_of_fault c.plan)
+let plan_kinds = sorted (fun c -> List.map Plan.kind_name c.plan)
 let mechanisms = sorted (fun c -> [ Explore.mechanism_name c ])
 
 let run { Sj_bench.Experiment.quick; map; progress } =
@@ -54,7 +55,7 @@ let enumeration_ok r =
       List.filter_map
         (fun k ->
           if List.mem k (plan_kinds r) then None else Some (Printf.sprintf "plan kind %s never swept" k))
-        Explore.all_kinds;
+        Plan.all_kinds;
       (if List.length (backends r) < 2 then [ "only one backend swept" ] else []);
       (if List.length (mechanisms r) < 3 then
          [ "mechanism coverage incomplete (" ^ String.concat "," (mechanisms r) ^ ")" ]

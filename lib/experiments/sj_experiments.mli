@@ -4,3 +4,7 @@
 
 val all : Sj_bench.Experiment.t list
 (** cluster, compartments, explore, fork. *)
+
+module Fork_spec = Fork_spec
+(** The fork experiment, exposed so its claim predicates can be tested
+    on hand-built points. *)

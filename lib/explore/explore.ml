@@ -41,16 +41,6 @@ let mechanism_name cfg =
   | Switch, Api.Dragonfly -> "vas_reload"
   | Switch, Api.Barrelfish -> "cap_invoke"
 
-let kind_of_fault = function
-  | Plan.Kill_at_syscall _ -> "kill_at_syscall"
-  | Plan.Kill_holding_lock _ -> "kill_holding_lock"
-  | Plan.Would_block_storm _ -> "would_block_storm"
-  | Plan.Grow_fail _ -> "grow_fail"
-  | Plan.Torn_write _ -> "torn_write"
-
-let all_kinds =
-  [ "kill_at_syscall"; "kill_holding_lock"; "would_block_storm"; "grow_fail"; "torn_write" ]
-
 let key cfg =
   sp "%s seed=%d%s plan=[%s]" (backend_name cfg.backend) cfg.seed
     (if cfg.fork then " fork" else "")
@@ -102,10 +92,9 @@ let run cfg =
   let notes = ref [] in
   let note name msg = notes := sp "%s: %s" name msg :: !notes in
   let live ctx = Process.is_live (Api.process ctx) in
-  (* Every workload step is guarded: a planned kill, an API fault
-     (typed or legacy-exception style), or a hardware-level consequence
-     of an earlier injected fault (page fault on a never-attached
-     segment, OOM after a failed grow) ends the step — noted,
+  (* Every workload step is guarded: a planned kill, a typed API fault,
+     or a hardware-level consequence of an earlier injected fault (page
+     fault on a never-attached segment) ends the step — noted,
      deterministically — instead of the run, so the sweep always
      reaches teardown and the invariant checks. Anything else is a
      harness bug and propagates. *)
@@ -115,11 +104,8 @@ let run cfg =
     | Machine.Page_fault { va; _ } -> note name (sp "page fault at %#x" va)
     | Machine.Protection_fault { va; _ } -> note name (sp "protection fault at %#x" va)
     | Machine.Key_fault { va; _ } -> note name (sp "key fault at %#x" va)
-    | Sj_mem.Phys_mem.Out_of_memory -> note name "out of physical memory"
-    | e -> (
-      match Sj_core.Errors.fault_of_exn e with
-      | Some f -> note name (Error.to_string f)
-      | None -> raise e)
+    | Error.Fault f -> note name (Error.to_string f)
+    | e -> raise e
   in
   let guard ctx name f = if live ctx then try f () with e -> fault_note name e in
   (* Bounded retry over transient Would_block — the storm counts the

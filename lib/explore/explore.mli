@@ -36,12 +36,6 @@ val mechanism_name : config -> string
     switch) or ["pkey"]. *)
 
 val backend_name : Sj_core.Api.backend -> string
-val kind_of_fault : Plan.fault -> string
-(** The fault's kind: the name of the {!Plan} function that makes it. *)
-
-val all_kinds : string list
-(** Every kind {!kind_of_fault} returns; the sweep must cover them all. *)
-
 val key : config -> string
 (** The replay key: backend, seed and plan — everything {!run} needs. *)
 

@@ -32,6 +32,30 @@ let would_block_storm ~pid ~nr ~count = Would_block_storm { pid; nr; count }
 let grow_fail ~nth = Grow_fail { nth }
 let torn_write ?(at_byte = -1) ~save () = Torn_write { save; at_byte }
 
+let kind_name = function
+  | Kill_at_syscall _ -> "kill_at_syscall"
+  | Kill_holding_lock _ -> "kill_holding_lock"
+  | Would_block_storm _ -> "would_block_storm"
+  | Grow_fail _ -> "grow_fail"
+  | Torn_write _ -> "torn_write"
+
+(* One representative per kind, as a wildcard-free successor chain: a
+   new constructor does not compile until it has a place in the chain,
+   so [templates] and [all_kinds] cannot silently miss it. *)
+let next_template = function
+  | None -> Some (kill_at_syscall ~pid:0 ~nr:0 ())
+  | Some (Kill_at_syscall _) -> Some (kill_holding_lock ~pid:0 ~sid:0)
+  | Some (Kill_holding_lock _) -> Some (would_block_storm ~pid:0 ~nr:0 ~count:1)
+  | Some (Would_block_storm _) -> Some (grow_fail ~nth:1)
+  | Some (Grow_fail _) -> Some (torn_write ~save:1 ())
+  | Some (Torn_write _) -> None
+
+let templates =
+  let rec from f = match next_template f with None -> [] | Some f' -> f' :: from (Some f') in
+  from None
+
+let all_kinds = List.map kind_name templates
+
 let fault_to_string = function
   | Kill_at_syscall { pid; nr; occurrence } ->
     Printf.sprintf "kill_at_syscall(pid=%d nr=%d occurrence=%d)" pid nr occurrence

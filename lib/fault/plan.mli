@@ -34,5 +34,17 @@ val would_block_storm : pid:int -> nr:int -> count:int -> fault
 val grow_fail : nth:int -> fault
 val torn_write : ?at_byte:int -> save:int -> unit -> fault
 
+val kind_name : fault -> string
+(** The fault's kind: the name of the builder that makes it. *)
+
+val templates : fault list
+(** One fault of each kind, in declaration order, with placeholder
+    fields. Built from a wildcard-free successor chain over the
+    constructors, so a new kind does not compile until it is listed. *)
+
+val all_kinds : string list
+(** The {!kind_name} of each of {!templates}. The explore sweep must
+    cover them all, and the fault suite arms each one. *)
+
 val fault_to_string : fault -> string
 val to_string : t -> string

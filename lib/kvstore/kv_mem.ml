@@ -23,7 +23,7 @@ let private_heap machine proc core ~size =
       (fun n ->
         match Mspace.malloc heap n with
         | Some va -> va
-        | None -> raise Sj_mem.Phys_mem.Out_of_memory);
+        | None -> Sj_abi.Error.fail Capacity ~op:"malloc" "kv heap exhausted");
     free = Mspace.free heap;
     read = (fun ~va ~len -> Core.load_bytes core ~va ~len);
     write = (fun ~va data -> Core.store_bytes core ~va data);

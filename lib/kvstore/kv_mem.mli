@@ -7,7 +7,7 @@
     simulated memory costs of every access to the acting core. *)
 
 type t = {
-  alloc : int -> int;  (** returns a VA; raises on exhaustion *)
+  alloc : int -> int;  (** returns a VA; raises the [Capacity] fault on exhaustion *)
   free : int -> unit;
   read : va:int -> len:int -> bytes;
   write : va:int -> bytes -> unit;

@@ -2,7 +2,6 @@ open Sj_util
 module Api = Sj_core.Api
 module Segment = Sj_core.Segment
 module Vas = Sj_core.Vas
-module Errors = Sj_core.Errors
 module Error = Sj_abi.Error
 module Prot = Sj_paging.Prot
 module Core = Sj_machine.Machine.Core
@@ -84,7 +83,7 @@ let init ctx ~name ~size =
 let find ctx ~name =
   match Sj_core.Registry.find_service (Api.registry (Api.system ctx)) ~name:(service_name name) with
   | Some (Store_service t) -> t
-  | Some _ | None -> raise (Errors.Unknown_name name)
+  | Some _ | None -> Error.fail Unknown_name ~op:"redisjmp_find" ("no store: " ^ name)
 
 let connect t ctx ?(scratch_size = Size.mib 1) () =
   let vh_rw = Api.vas_attach ctx (Api.vas_find ctx ~name:(t.name ^ ".rw")) in
@@ -150,7 +149,7 @@ let execute_with ~switch c cmd =
        their next switch. *)
     let rec run_growing attempts =
       try with_scratch c (fun () -> Store.execute c.t.store cmd)
-      with Sj_mem.Phys_mem.Out_of_memory when attempts > 0 ->
+      with Error.Fault { code = Capacity; _ } when attempts > 0 ->
         Api.switch_home c.ctx;
         Api.seg_ctl c.ctx (`Grow (c.t.seg, Segment.size c.t.seg));
         switch c.ctx c.vh_rw;
@@ -223,7 +222,7 @@ let execute_batch_with ~switch c cmds =
                 Store.execute c.t.store cmds.(!i));
           incr i
         done
-      with Sj_mem.Phys_mem.Out_of_memory when attempts > 0 && any_write ->
+      with Error.Fault { code = Capacity; _ } when attempts > 0 && any_write ->
         Api.switch_home c.ctx;
         Api.seg_ctl c.ctx (`Grow (c.t.seg, Segment.size c.t.seg));
         switch c.ctx vh;

@@ -27,7 +27,7 @@ val init :
 
 val find : Sj_core.Api.ctx -> name:string -> t
 (** Look up an existing store in the calling context's system (raises
-    [Errors.Unknown_name]). Stores live in the system registry's
+    the typed [Unknown_name] fault). Stores live in the system registry's
     service map, not in process-global state, so a fresh system starts
     with none and concurrent simulations are independent. *)
 
@@ -40,7 +40,7 @@ val execute : client -> Resp.command -> Resp.reply
     commands take the exclusive path, read commands the shared path.
     If store memory runs out mid-write, the acting client doubles the
     shared segment under its exclusive lock and retries — no other
-    client coordinates (§1, §2.3). Raises [Errors.Would_block] if the
+    client coordinates (§1, §2.3). Raises the [Would_block] fault if the
     segment lock is unavailable. *)
 
 val execute_retry :

@@ -18,6 +18,7 @@ exception Key_fault of { va : int; access : access }
    mapping repair can change. *)
 
 exception No_page_table
+exception Out_of_memory = Phys_mem.Out_of_memory
 
 type core_state = {
   id : int;

@@ -27,6 +27,12 @@ exception Key_fault of { va : int; access : access }
 exception No_page_table
 (** A data access was attempted with no page table installed. *)
 
+exception Out_of_memory
+(** Physical frames exhausted: the same exception as
+    [Sj_mem.Phys_mem.Out_of_memory], re-exported so the layers above the
+    machine name the hardware condition here. The ABI boundary
+    ([Sj_abi.Sys.invoke]) turns it into a [Capacity] fault. *)
+
 val create : ?fast:bool -> Platform.t -> t
 (** [?fast] selects the host-side translation/bulk fast path (per-core
     MRU translation cache, software page-walk cache, batched bulk

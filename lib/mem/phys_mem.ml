@@ -184,7 +184,13 @@ let alloc_frame ?node t =
   t.n_allocated <- t.n_allocated + 1;
   f
 
-let alloc_frames ?node t ~n = Array.init n (fun _ -> alloc_frame ?node t)
+(* All-or-nothing. Both node policies in [alloc_frame] fall back to
+   every node, so the free count decides exactly whether [n] single
+   allocations succeed: checking it first means a refusal takes no
+   frame (a part-way failure would leak every frame already taken). *)
+let alloc_frames ?node t ~n =
+  if n > t.frames_total - t.n_allocated then raise Out_of_memory;
+  Array.init n (fun _ -> alloc_frame ?node t)
 
 let alloc_frames_contiguous ?node ?(align = 1) t ~n =
   if n <= 0 then invalid_arg "Phys_mem.alloc_frames_contiguous: n";

@@ -44,7 +44,9 @@ val alloc_frame : ?node:int -> t -> frame
     Contents read as zero. *)
 
 val alloc_frames : ?node:int -> t -> n:int -> frame array
-(** Allocate [n] frames (not necessarily contiguous). *)
+(** Allocate [n] frames (not necessarily contiguous), or none: raises
+    {!Out_of_memory} without taking a frame when fewer than [n] are
+    free. *)
 
 val alloc_frames_contiguous : ?node:int -> ?align:int -> t -> n:int -> frame array
 (** Allocate [n] *physically contiguous* frames (for huge-page

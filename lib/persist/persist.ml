@@ -11,7 +11,6 @@ module Api = Sj_core.Api
 module Registry = Sj_core.Registry
 module Segment = Sj_core.Segment
 module Vas = Sj_core.Vas
-module Errors = Sj_core.Errors
 module Error = Sj_abi.Error
 module Sys = Sj_abi.Sys
 module Crc32 = Sj_compress.Crc32
@@ -237,9 +236,38 @@ let reader b =
 
 (* ---------- restore ---------- *)
 
-(* Faults from the registry/VAS layer (e.g. a name collision with the
-   live system) surface as the namesake legacy exceptions; image-format
-   faults stay typed. *)
+(* Restore parses the whole image first, deferring every allocation
+   into a [build] thunk, and checks every name before running any of
+   them: an image refused for its frame or its names leaves the system
+   as it found it (no segment, frame or global address range is taken).
+   A name must be new to the registry and unique within the image, and
+   every segment a VAS attaches must exist. Physical exhaustion while
+   the thunks run is not checked up front: it propagates as
+   [Machine.Out_of_memory], with the segments built so far registered. *)
+let check_names reg ~segs ~vases =
+  let registered find name =
+    match find ~name with _ -> true | exception Error.Fault { code = Unknown_name; _ } -> false
+  in
+  let unique what find names =
+    let seen = Hashtbl.create 16 in
+    List.iter
+      (fun name ->
+        if Hashtbl.mem seen name || registered find name then
+          Error.failf Name_exists ~op:"persist_restore" "%s %s" what name;
+        Hashtbl.replace seen name ())
+      names
+  in
+  unique "segment" (Registry.find_seg reg) segs;
+  unique "VAS" (Registry.find_vas reg) (List.map fst vases);
+  List.iter
+    (fun (vas, attached) ->
+      List.iter
+        (fun sname ->
+          if not (List.mem sname segs || registered (Registry.find_seg reg) sname) then
+            Error.failf Unknown_name ~op:"persist_restore" "VAS %s attaches segment %s" vas sname)
+        attached)
+    vases
+
 let restore sys image =
   Sys.count (Api.syscalls sys) Persist_restore;
   let sects = sections image in
@@ -247,62 +275,71 @@ let restore sys image =
   let machine = Api.machine sys in
   let image = find_section sects sect_segs in
   let pos, next_varint, next_string = reader image in
-  let n_segs = next_varint () in
-  for _ = 1 to n_segs do
-    let name = next_string () in
-    let base = next_varint () in
-    let size = next_varint () in
-    let prot = prot_of_bits (next_varint ()) in
-    let lockable = next_varint () = 1 in
-    let huge = next_varint () = 1 in
-    let acl, p = r_acl image !pos in
-    pos := p;
-    let n_chunks = next_varint () in
-    let chunks =
-      List.init n_chunks (fun _ ->
-          let chunk_base = next_varint () in
-          let chunk_size = next_varint () in
-          let chunk_free = next_varint () = 1 in
-          { Mspace.chunk_base; chunk_size; chunk_free })
-    in
-    let compressed, p = r_bytes image !pos in
-    pos := p;
-    let seg =
-      Segment.create ~lockable ~huge ~acl ~charge_to:None ~machine ~name ~base ~size ~prot ()
-    in
-    Sj_kernel.Layout.reserve_global (Machine.sim_ctx machine) ~base ~size;
-    write_contents machine seg (Block_lz.decompress compressed);
-    (try Registry.register_seg reg seg with Error.Fault f -> Errors.raise_legacy f);
-    if chunks <> [] then
-      Registry.set_heap reg seg (Mspace.of_snapshot ~base ~size chunks)
-  done;
+  let segs =
+    List.init (next_varint ()) (fun _ ->
+        let name = next_string () in
+        let base = next_varint () in
+        let size = next_varint () in
+        let prot = prot_of_bits (next_varint ()) in
+        let lockable = next_varint () = 1 in
+        let huge = next_varint () = 1 in
+        let acl, p = r_acl image !pos in
+        pos := p;
+        let n_chunks = next_varint () in
+        let chunks =
+          List.init n_chunks (fun _ ->
+              let chunk_base = next_varint () in
+              let chunk_size = next_varint () in
+              let chunk_free = next_varint () = 1 in
+              { Mspace.chunk_base; chunk_size; chunk_free })
+        in
+        let compressed, p = r_bytes image !pos in
+        pos := p;
+        let build () =
+          let seg =
+            Segment.create ~lockable ~huge ~acl ~charge_to:None ~machine ~name ~base ~size ~prot ()
+          in
+          Sj_kernel.Layout.reserve_global (Machine.sim_ctx machine) ~base ~size;
+          write_contents machine seg (Block_lz.decompress compressed);
+          Registry.register_seg reg seg;
+          if chunks <> [] then Registry.set_heap reg seg (Mspace.of_snapshot ~base ~size chunks)
+        in
+        (name, build))
+  in
   let image = find_section sects sect_vases in
   let pos, next_varint, next_string = reader image in
-  let n_vases = next_varint () in
-  for _ = 1 to n_vases do
-    let name = next_string () in
-    let acl, p = r_acl image !pos in
-    pos := p;
-    let tag = next_varint () in
-    let vas = Vas.create (Machine.sim_ctx machine) ~acl ~name () in
-    (if tag <> 0 then
-       (* Never double-issue the saved tag: adopt it into the target
-          registry (off the free list, visible to alloc_tag's live-VAS
-          scan once registered below) — unless another live VAS already
-          holds it, in which case this VAS gets a fresh one. *)
-       match Registry.adopt_tag reg tag with
-       | () -> Vas.assign_tag vas tag
-       | exception Error.Fault { code = Name_exists; _ } ->
-         Vas.assign_tag vas (Registry.alloc_tag reg));
-    let n = next_varint () in
-    for _ = 1 to n do
-      let sname = next_string () in
-      let prot = prot_of_bits (next_varint ()) in
-      try Vas.attach_segment vas (Registry.find_seg reg ~name:sname) ~prot
-      with Error.Fault f -> Errors.raise_legacy f
-    done;
-    (try Registry.register_vas reg vas with Error.Fault f -> Errors.raise_legacy f)
-  done
+  let vases =
+    List.init (next_varint ()) (fun _ ->
+        let name = next_string () in
+        let acl, p = r_acl image !pos in
+        pos := p;
+        let tag = next_varint () in
+        let attached =
+          List.init (next_varint ()) (fun _ ->
+              let sname = next_string () in
+              (sname, prot_of_bits (next_varint ())))
+        in
+        let build () =
+          let vas = Vas.create (Machine.sim_ctx machine) ~acl ~name () in
+          (if tag <> 0 then
+             (* Never double-issue the saved tag: adopt it into the target
+                registry (off the free list, visible to alloc_tag's live-VAS
+                scan once registered below) — unless another live VAS already
+                holds it, in which case this VAS gets a fresh one. *)
+             match Registry.adopt_tag reg tag with
+             | () -> Vas.assign_tag vas tag
+             | exception Error.Fault { code = Name_exists; _ } ->
+               Vas.assign_tag vas (Registry.alloc_tag reg));
+          List.iter
+            (fun (sname, prot) -> Vas.attach_segment vas (Registry.find_seg reg ~name:sname) ~prot)
+            attached;
+          Registry.register_vas reg vas
+        in
+        ((name, List.map fst attached), build))
+  in
+  check_names reg ~segs:(List.map fst segs) ~vases:(List.map fst vases);
+  List.iter (fun (_, build) -> build ()) segs;
+  List.iter (fun (_, build) -> build ()) vases
 
 let describe image =
   let sects = sections image in

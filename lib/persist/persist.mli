@@ -27,9 +27,14 @@ val restore : Sj_core.Api.system -> bytes -> unit
 (** Rebuild the image's segments and VASes inside [system] (normally a
     freshly booted one). The frame is verified before any state is
     touched: a bad magic, truncated section, CRC mismatch, or missing
-    commit record raises the typed [Invalid] fault. Raises
-    [Errors.Name_exists] if names collide with already-registered
-    objects. *)
+    commit record raises the typed [Invalid] fault. Every name is then
+    checked before anything is allocated: a segment or VAS name already
+    registered, or repeated within the image, raises [Name_exists], and
+    a VAS attaching a segment that exists nowhere raises
+    [Unknown_name] — either way the system is left untouched. Physical
+    exhaustion while rebuilding is not checked up front: it raises
+    [Sj_machine.Machine.Out_of_memory] and leaves the segments rebuilt
+    so far registered. *)
 
 val committed : bytes -> bool
 (** Whether the image verifies end to end (magic, section CRCs, commit

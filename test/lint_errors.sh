@@ -11,6 +11,9 @@
 # Allowlist: empty. Lower-level mechanism libraries (lib/paging,
 # lib/mem, lib/alloc, ...) keep their precondition checks — their
 # callers in core/kernel translate at the boundary.
+#
+# That every fault code is reachable through the API is a typed check,
+# not a grep: see the all-codes worlds in test/test_errors.ml.
 set -u
 
 hits=$(grep -rnE '\b(failwith|invalid_arg)\b' lib/core lib/kernel --include='*.ml' || true)
@@ -22,27 +25,4 @@ if [ -n "$hits" ]; then
   exit 1
 fi
 
-# Coverage: every constructor of Sj_abi.Error.code must be exercised by
-# test/test_errors.ml (the "all codes via API" worlds run under both
-# backends). Parsing the mli keeps this honest when a new code lands —
-# adding the 10th (Key_violation) without a test would fail here.
-codes=$(sed -n '/^type code =/,/^type t /p' lib/abi/error.mli \
-  | grep -oE '^  \| [A-Z][A-Za-z_]+' | awk '{print $2}')
-
-ncodes=$(printf '%s\n' $codes | wc -l)
-if [ "$ncodes" -lt 10 ]; then
-  echo "lint_errors: parsed only $ncodes codes from lib/abi/error.mli (expected >= 10); fix the parse" >&2
-  exit 1
-fi
-
-missing=
-for c in $codes; do
-  grep -q "$c" test/test_errors.ml || missing="$missing $c"
-done
-if [ -n "$missing" ]; then
-  echo "lint_errors: fault code(s) not exercised by test/test_errors.ml:$missing" >&2
-  echo "Every Sj_abi.Error.code constructor must be reachable through the public API and tested; see HACKING.md." >&2
-  exit 1
-fi
-
-echo "lint_errors: OK (no raw failwith/invalid_arg in lib/core or lib/kernel; all $ncodes fault codes tested)"
+echo "lint_errors: OK (no raw failwith/invalid_arg in lib/core or lib/kernel)"

@@ -74,8 +74,8 @@ let build_world () =
 let cell_va w seg cell = Segment.base w.segs.(seg) + (cell * 64)
 
 (* The typed-fault ABI guarantees no raw [Failure]/[Invalid_argument]
-   leaks out of the API — errors surface as [Sj_abi.Error.Fault] or the
-   legacy [Errors] exceptions. Every API call in the fuzz goes through
+   leaks out of the API — errors surface as [Sj_abi.Error.Fault]. Every
+   API call in the fuzz goes through
    this guard; the model's own [failwith] diagnostics stay outside it,
    so a raw escape is distinguishable from a model discrepancy. *)
 let api f =
@@ -114,7 +114,7 @@ let apply w op =
        api (fun () -> Api.seg_attach ctx w.vases.(vas) w.segs.(seg) ~prot:Prot.rw);
        if already then failwith "model: double attach should conflict";
        w.model.vas_segs.(vas) <- seg :: w.model.vas_segs.(vas)
-     with Errors.Address_conflict _ ->
+     with Sj_abi.Error.Fault { code = Address_conflict; _ } ->
        if not already then failwith "model: attach unexpectedly conflicted")
   | Detach_seg (seg, vas) ->
     let present = List.mem seg w.model.vas_segs.(vas) in
@@ -122,7 +122,7 @@ let apply w op =
        api (fun () -> Api.seg_detach ctx w.vases.(vas) w.segs.(seg));
        if not present then failwith "model: detach of absent segment succeeded";
        w.model.vas_segs.(vas) <- List.filter (fun s -> s <> seg) w.model.vas_segs.(vas)
-     with Errors.Unknown_name _ ->
+     with Sj_abi.Error.Fault { code = Unknown_name; _ } ->
        if present then failwith "model: detach unexpectedly failed")
   | Vas_attach vas ->
     let vh = api (fun () -> Api.vas_attach ctx w.vases.(vas)) in

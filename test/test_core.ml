@@ -103,7 +103,7 @@ let test_lock_modes () =
     (try
        Api.vas_switch ctx_r vh_r;
        false
-     with Errors.Would_block _ -> true);
+     with Sj_abi.Error.Fault { code = Would_block; _ } -> true);
   (* Writer leaves; reader can now enter; second reader shares. *)
   Api.switch_home ctx_w;
   Api.vas_switch ctx_r vh_r;
@@ -118,7 +118,7 @@ let test_lock_modes () =
     (try
        Api.vas_switch ctx_w vh_w;
        false
-     with Errors.Would_block _ -> true)
+     with Sj_abi.Error.Fault { code = Would_block; _ } -> true)
 
 let test_acl_enforcement () =
   let m, sys, ctx_root = setup () in
@@ -131,7 +131,7 @@ let test_acl_enforcement () =
     (try
        ignore (Api.vas_attach ctx_m (Api.vas_find ctx_m ~name:"private"));
        false
-     with Errors.Permission_denied _ -> true);
+     with Sj_abi.Error.Fault { code = Permission_denied; _ } -> true);
   (* vas_ctl chmod opens it up. *)
   Api.vas_ctl ctx_root (`Chmod (vas, 0o604));
   Segment.set_acl seg (Acl.chmod (Segment.acl seg) ~mode:0o604);
@@ -276,7 +276,7 @@ let test_address_conflict_detected () =
     (try
        Api.seg_attach ctx vas s2 ~prot:Prot.rw;
        false
-     with Errors.Address_conflict _ -> true)
+     with Sj_abi.Error.Fault { code = Address_conflict; _ } -> true)
 
 let test_switch_costs_by_backend () =
   (* Table 2: switching costs differ by OS and tagging. The segment is
@@ -322,7 +322,7 @@ let test_barrelfish_revocation () =
     (try
        Api.vas_switch ctx vh;
        false
-     with Errors.Permission_denied _ -> true)
+     with Sj_abi.Error.Fault { code = Permission_denied; _ } -> true)
 
 let test_detach_invalidates_handle () =
   let _, _, ctx = setup () in
@@ -337,7 +337,7 @@ let test_detach_invalidates_handle () =
     (try
        Api.vas_switch ctx vh;
        false
-     with Errors.Stale_handle _ -> true)
+     with Sj_abi.Error.Fault { code = Stale_handle; _ } -> true)
 
 let test_translation_cache_speeds_attach () =
   let _, _, ctx = setup () in
@@ -411,13 +411,13 @@ let test_vas_destroy_lifecycle () =
     (try
        ignore (Api.vas_find ctx ~name:"doomed");
        false
-     with Errors.Unknown_name _ -> true);
+     with Sj_abi.Error.Fault { code = Unknown_name; _ } -> true);
   (* ...new attaches are refused... *)
   Alcotest.(check bool) "attach refused" true
     (try
        ignore (Api.vas_attach ctx vas);
        false
-     with Errors.Stale_handle _ -> true);
+     with Sj_abi.Error.Fault { code = Stale_handle; _ } -> true);
   (* ...but existing attachments keep working (unlink semantics). *)
   Api.vas_switch ctx vh;
   Alcotest.(check int64) "existing attachment still works" 1L

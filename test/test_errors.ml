@@ -32,9 +32,29 @@ let check_code name expect = function
   | Ok _ -> Alcotest.failf "%s: expected %s but the call succeeded" name (Error.code_name expect)
   | Error (f : Error.t) -> Alcotest.check code name expect f.code
 
+(* Which step of the all-codes world provokes each code. Exhaustive and
+   wildcard-free: a new code does not compile until it has a step here,
+   and the world must then provoke it (the set check at its end). *)
+let step_of : Error.code -> string = function
+  | Permission_denied -> "vas_attach of a 0o600 VAS under a foreign uid"
+  | Would_block -> "vas_switch while a writer holds the segment lock"
+  | Name_exists -> "vas_create of a taken name"
+  | Unknown_name -> "vas_find of a missing name"
+  | Stale_handle -> "seg_attach to a destroyed VAS"
+  | Address_conflict -> "seg_attach of a segment already attached"
+  | Layout_exhausted -> "seg_alloc_anywhere with the global range used up"
+  | Invalid -> "free of an address inside an allocation"
+  | Capacity -> "malloc beyond the segment's mspace"
+  | Key_violation -> "load under a key the compartment does not hold"
+
 (* One world per backend that visits all ten codes. *)
 let exercise_all_codes backend () =
   let m, sys, ctx = boot backend in
+  let provoked = ref [] in
+  let check_code name expect r =
+    check_code name expect r;
+    provoked := expect :: !provoked
+  in
   let vas = Api.vas_create ctx ~name:"v" ~mode:0o666 in
   check_code "Name_exists" Error.Name_exists (C.vas_create ctx ~name:"v" ~mode:0o666);
   check_code "Unknown_name" Error.Unknown_name (C.vas_find ctx ~name:"nope");
@@ -80,7 +100,44 @@ let exercise_all_codes backend () =
   Layout.reserve_global (Machine.sim_ctx m) ~base:(Addr.va_limit - Size.gib 1)
     ~size:(Size.gib 1);
   check_code "Layout_exhausted" Error.Layout_exhausted
-    (C.seg_alloc_anywhere ctx ~name:"none" ~size:(Size.mib 1) ~mode:0o600)
+    (C.seg_alloc_anywhere ctx ~name:"none" ~size:(Size.mib 1) ~mode:0o600);
+  (* The provoked set equals [Error.all_codes]: none is missing, and
+     none is provoked that the list leaves out. *)
+  Alcotest.(check (list string)) "codes the world never provoked" []
+    (List.filter_map
+       (fun c ->
+         if List.mem c !provoked then None
+         else Some (Printf.sprintf "%s (step: %s)" (Error.code_name c) (step_of c)))
+       Error.all_codes);
+  Alcotest.(check (list string)) "provoked codes missing from Error.all_codes" []
+    (List.filter_map
+       (fun c -> if List.mem c Error.all_codes then None else Some (Error.code_name c))
+       !provoked)
+
+(* Checked is total: physical exhaustion inside an entry is a Capacity
+   fault named after the entry, not a raw exception, and the refused
+   allocation takes no frame — the machine keeps serving. *)
+let test_physical_exhaustion_is_capacity () =
+  let small = { tiny with Platform.name = "small"; mem_size = Size.mib 64 } in
+  let m = Machine.create small in
+  let sys = Api.boot m in
+  let ctx = Api.context sys (Process.create ~name:"hog" m) (Machine.core m 0) in
+  let mem = Machine.mem m in
+  let before = Sj_mem.Phys_mem.frames_allocated mem in
+  (match C.seg_alloc_anywhere ctx ~name:"huge" ~size:(Size.mib 128) ~mode:0o600 with
+  | Ok _ -> Alcotest.fail "128 MiB on a 64 MiB machine succeeded"
+  | Error f ->
+    Alcotest.check code "code" Error.Capacity f.code;
+    Alcotest.(check string) "op" "seg_alloc" f.op);
+  Alcotest.(check int) "refusal takes no frame" before (Sj_mem.Phys_mem.frames_allocated mem);
+  (match C.seg_alloc_anywhere ctx ~name:"fits" ~size:(Size.mib 16) ~mode:0o600 with
+  | Ok _ -> ()
+  | Error f -> Alcotest.failf "16 MiB after the refusal: %s" (Error.to_string f));
+  Alcotest.(check bool) "the raising surface raises the same fault" true
+    (try
+       ignore (Api.seg_alloc_anywhere ctx ~name:"huge" ~size:(Size.mib 128) ~mode:0o600);
+       false
+     with Error.Fault { code = Capacity; op = "seg_alloc"; _ } -> true)
 
 let test_counters_track_calls_and_cycles () =
   let measure backend =
@@ -149,4 +206,6 @@ let suite =
     Alcotest.test_case "Key_violation numbering frozen" `Quick
       test_key_violation_numbering;
     Alcotest.test_case "exit codes distinct" `Quick test_exit_codes_distinct;
+    Alcotest.test_case "physical exhaustion is a Capacity fault" `Quick
+      test_physical_exhaustion_is_capacity;
   ]

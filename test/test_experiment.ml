@@ -175,7 +175,28 @@ let test_committed_reports () =
         if f = "BENCH_fastpath.json" then Report.check_file path
         else
           match List.find_opt (fun s -> Experiment.out_path s = f) Sj_experiments.all with
-          | Some spec -> Experiment.check_file spec path
+          | Some spec -> (
+            match Experiment.check_file spec path with
+            | Error _ as e -> e
+            | Ok () ->
+              (* The checker proves every claim the spec registers is
+                 recorded true; the converse catches a claim dropped
+                 from the spec while the committed report still makes
+                 it. *)
+              let recorded =
+                match Result.map (Json.member "claims") (Json.read_file path) with
+                | Ok (Some (Obj kv)) -> List.map fst kv
+                | _ -> []
+              in
+              if List.sort compare recorded = List.sort compare (Experiment.claim_names spec)
+              then Ok ()
+              else
+                Error
+                  [
+                    Printf.sprintf "claims recorded [%s] but the spec registers [%s]"
+                      (String.concat "," recorded)
+                      (String.concat "," (Experiment.claim_names spec));
+                  ])
           | None -> Error [ "no experiment writes " ^ f ]
       in
       match verdict with

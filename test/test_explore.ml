@@ -408,15 +408,30 @@ let test_enumeration_covers_dimensions () =
   Alcotest.(check int) "no duplicate configs" (List.length cfgs) (List.length keys);
   let kinds =
     List.sort_uniq compare
-      (List.concat_map (fun c -> List.map Explore.kind_of_fault c.Explore.plan) cfgs)
+      (List.concat_map (fun c -> List.map Plan.kind_name c.Explore.plan) cfgs)
   in
   Alcotest.(check (list string)) "all five plan kinds swept"
-    (List.sort compare Explore.all_kinds) kinds;
+    (List.sort compare Plan.all_kinds) kinds;
   Alcotest.(check int) "both backends swept" 2
     (List.length
        (List.sort_uniq compare (List.map (fun c -> Explore.backend_name c.Explore.backend) cfgs)));
   Alcotest.(check int) "all three mechanisms swept" 3
-    (List.length (List.sort_uniq compare (List.map Explore.mechanism_name cfgs)))
+    (List.length (List.sort_uniq compare (List.map Explore.mechanism_name cfgs)));
+  List.iter
+    (fun nr ->
+      Alcotest.(check bool)
+        (Sj_abi.Sys.name nr ^ " killed in a fork-bearing config")
+        true
+        (List.exists
+           (fun (c : Explore.config) ->
+             c.fork
+             && List.exists
+                  (function
+                    | Plan.Kill_at_syscall k -> k.pid = 1 && k.nr = Sj_abi.Sys.number nr
+                    | _ -> false)
+                  c.plan)
+           cfgs))
+    [ Sj_abi.Sys.Vas_fork; Proc_fork ]
 
 let test_sampled_sweep_clean_and_deterministic () =
   (* A spread sample of the quick sweep: every 23rd config. Each must
@@ -432,26 +447,46 @@ let test_sampled_sweep_clean_and_deterministic () =
         (Explore.equal_result r (Explore.run cfg)))
     sample
 
-let suite =
+(* One broken-world case per invariant, keyed by the invariant's name:
+   the roster test below looks every name in [Invariant.all] up here,
+   so an invariant added without a case that breaks it fails the
+   suite. *)
+let broken_worlds =
   [
-    Alcotest.test_case "clean world accepted by every invariant" `Quick test_clean_world_accepted;
-    Alcotest.test_case "lock-balance flags orphan locks and imbalance" `Quick
-      test_lock_balance_flags;
-    Alcotest.test_case "tag-unique flags double-issued and free-listed tags" `Quick
-      test_tag_unique_flags;
-    Alcotest.test_case "tag-reclaim flags leaked tags" `Quick test_tag_reclaim_flags;
-    Alcotest.test_case "pkey-owners flags range/owner/reference breaks" `Quick
-      test_pkey_owners_flags;
-    Alcotest.test_case "pkru-hygiene flags stale key rights" `Quick test_pkru_hygiene_flags;
-    Alcotest.test_case "refcount-balance flags imbalance, leaks and residue" `Quick
-      test_refcount_balance_flags;
-    Alcotest.test_case "cow-isolation flags writes that cross a fork" `Quick
-      test_cow_isolation_flags;
-    Alcotest.test_case "journal-commit flags bad recovery" `Quick test_journal_commit_flags;
-    Alcotest.test_case "syscall-balance flags stream/table disagreement" `Quick
-      test_syscall_balance_flags;
-    Alcotest.test_case "modal-agreement flags probe disagreement" `Quick
-      test_modal_agreement_flags;
+    ("lock-balance", ("flags orphan locks and imbalance", test_lock_balance_flags));
+    ("tag-unique", ("flags double-issued and free-listed tags", test_tag_unique_flags));
+    ("tag-reclaim", ("flags leaked tags", test_tag_reclaim_flags));
+    ("pkey-owners", ("flags range/owner/reference breaks", test_pkey_owners_flags));
+    ("pkru-hygiene", ("flags stale key rights", test_pkru_hygiene_flags));
+    ( "refcount-balance",
+      ("flags imbalance, leaks and residue", test_refcount_balance_flags) );
+    ("cow-isolation", ("flags writes that cross a fork", test_cow_isolation_flags));
+    ("journal-commit", ("flags bad recovery", test_journal_commit_flags));
+    ( "syscall-balance",
+      ("flags stream/table disagreement", test_syscall_balance_flags) );
+    ("modal-agreement", ("flags probe disagreement", test_modal_agreement_flags));
+  ]
+
+let test_every_invariant_has_broken_world () =
+  List.iter
+    (fun (i : Invariant.t) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s has a broken-world case" i.name)
+        true
+        (List.mem_assoc i.name broken_worlds))
+    Invariant.all;
+  Alcotest.(check (list string)) "no case for an invariant outside the roster"
+    (List.sort compare Invariant.names)
+    (List.sort compare (List.map fst broken_worlds))
+
+let suite =
+  [ Alcotest.test_case "clean world accepted by every invariant" `Quick test_clean_world_accepted ]
+  @ List.map
+      (fun (name, (what, test)) -> Alcotest.test_case (name ^ " " ^ what) `Quick test)
+      broken_worlds
+  @ [
+    Alcotest.test_case "every invariant has a broken-world case" `Quick
+      test_every_invariant_has_broken_world;
     Alcotest.test_case "bug A: PKRU scrubbed when key owner dies" `Quick
       test_bug_pkru_scrubbed_on_owner_death;
     Alcotest.test_case "bug B: restored tags never re-issued" `Quick

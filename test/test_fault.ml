@@ -375,6 +375,48 @@ let test_composed_plan_replay () =
   Alcotest.(check string) "the fired crop is a fixed point under replay"
     (Plan.to_string fired) (Plan.to_string fired2)
 
+(* ---- Every kind arms and fires ---- *)
+
+(* [Plan.templates] holds one fault per kind. [fire] rebuilds a
+   template against a live world by an exhaustive, wildcard-free match,
+   so a new fault constructor cannot compile without a scenario here. *)
+let fire template =
+  let m, sys, ctx = boot () in
+  let pid = Process.pid (Api.process ctx) in
+  let vas, seg = make_locked_world ctx in
+  let vh = Api.vas_attach ctx vas in
+  let fault, provoke =
+    match (template : Plan.fault) with
+    | Kill_at_syscall _ ->
+      ( Plan.kill_at_syscall ~pid ~nr:(Sys.number Seg_find) (),
+        fun () -> ignore (Api.Checked.seg_find ctx ~name:"shared.data") )
+    | Kill_holding_lock _ ->
+      ( Plan.kill_holding_lock ~pid ~sid:(Segment.sid seg),
+        fun () ->
+          Api.vas_switch ctx vh;
+          ignore (Api.Checked.seg_find ctx ~name:"shared.data") )
+    | Would_block_storm _ ->
+      ( Plan.would_block_storm ~pid ~nr:(Sys.number Vas_switch) ~count:1,
+        fun () -> ignore (Api.Checked.vas_switch ctx vh) )
+    | Grow_fail _ ->
+      (Plan.grow_fail ~nth:1, fun () -> ignore (Api.Checked.seg_ctl ctx (`Grow (seg, Size.kib 64))))
+    | Torn_write _ -> (Plan.torn_write ~save:1 (), fun () -> ignore (Persist.save sys))
+  in
+  let inj = Injector.create [ fault ] in
+  Injector.attach (Machine.sim_ctx m) inj;
+  (try provoke () with Injector.Killed _ -> ());
+  Injector.fired inj
+
+let test_every_kind_fires () =
+  Alcotest.(check int) "one template per kind" (List.length Plan.all_kinds)
+    (List.length (List.sort_uniq compare Plan.all_kinds));
+  List.iter
+    (fun t ->
+      let kind = Plan.kind_name t in
+      Alcotest.(check (list string)) (kind ^ " fires once") [ kind ]
+        (List.map Plan.kind_name (fire t)))
+    Plan.templates
+
 let suite =
   [
     Alcotest.test_case "kill at nth syscall" `Quick test_kill_at_syscall;
@@ -398,4 +440,5 @@ let suite =
       test_composed_plan_replay;
     Alcotest.test_case "injected run reproducible across domains" `Quick
       test_injected_run_is_reproducible;
+    Alcotest.test_case "every plan kind arms and fires" `Quick test_every_kind_fires;
   ]

@@ -19,6 +19,7 @@ module Pkey = Sj_paging.Pkey
 module Error = Sj_abi.Error
 module Recorder = Sj_obs.Recorder
 module Metrics = Sj_obs.Metrics
+module Event = Sj_obs.Event
 
 (* Enough RAM for the page-table-sharing census segments. *)
 let roomy : Platform.t =
@@ -441,6 +442,65 @@ let test_fork_minor_words_flat () =
     true
     (large -. small < extra_pages /. 8.)
 
+(* The fork accounting promises, end to end: both fork entries are
+   counted in the syscall table, each emits a Fork event under its wire
+   name, a CoW write emits a Cow_fault, and the metrics accumulate
+   forks, faults and copies. *)
+let test_fork_wiring () =
+  Recorder.with_tracing true (fun () ->
+      let m, sys, ctx = setup () in
+      let vas = Api.vas_create ctx ~name:"w" ~mode:0o600 in
+      let seg = Api.seg_alloc_anywhere ctx ~name:"w.d" ~size:(Size.mib 1) ~mode:0o600 in
+      Api.seg_attach ctx vas seg ~prot:Prot.rw;
+      let vh = Api.vas_attach ctx vas in
+      Api.vas_switch ctx vh;
+      Api.store64 ctx ~va:(Segment.base seg) 1L;
+      Api.switch_home ctx;
+      let fh = Api.vas_fork ctx vh ~name:"w.fork" in
+      Api.vas_switch ctx fh;
+      Api.store64 ctx ~va:(Segment.base seg) 2L;
+      Api.switch_home ctx;
+      ignore (Api.proc_fork ctx ~core:(Machine.core m 1));
+      List.iter
+        (fun nr ->
+          Alcotest.(check int) (Sj_abi.Sys.name nr ^ " counted") 1
+            (fst (Sj_abi.Sys.counters (Api.syscalls sys) nr)))
+        [ Sj_abi.Sys.Vas_fork; Proc_fork ];
+      let r = Option.get (Recorder.of_ctx (Machine.sim_ctx m)) in
+      let emitted =
+        List.filter_map
+          (fun (e : Event.t) ->
+            match e.kind with Fork _ | Cow_fault _ -> Some (Event.name e.kind) | _ -> None)
+          (Recorder.events r)
+      in
+      List.iter
+        (fun name -> Alcotest.(check bool) (name ^ " event emitted") true (List.mem name emitted))
+        [ "vas_fork"; "proc_fork"; "cow_fault" ];
+      let mt = Recorder.metrics r in
+      Alcotest.(check int) "Metrics.forks" 2 (Metrics.forks mt);
+      Alcotest.(check bool) "Metrics.cow_faults" true (Metrics.cow_faults mt > 0);
+      Alcotest.(check bool) "Metrics.cow_copies" true (Metrics.cow_copies mt > 0));
+  (* ...and the fork workload reports what the metrics counted, and
+     the fork report's storm claim reads those counters: it holds on
+     the real run and names the shape when a fault or a fork is lost. *)
+  let module K = Sj_kvstore.Kv_fork in
+  let cfg = { K.default with connections = 4; requests_per_conn = 8; set_fraction = 0.5 } in
+  let r = K.run cfg in
+  (* Fork_per_conn: a proc_fork and a vas_fork per connection. *)
+  Alcotest.(check int) "workload forks" 8 r.forks;
+  Alcotest.(check bool) "workload cow_faults" true (r.cow_faults > 0);
+  Alcotest.(check bool) "workload cow_copies" true (r.cow_copies > 0);
+  let storm res =
+    Sj_experiments.Fork_spec.fault_storm { headline = [ { cfg; res } ]; grid = [] }
+  in
+  Alcotest.(check (list string)) "the run holds the storm claim" [] (storm r);
+  Alcotest.(check (list string)) "no CoW fault is a storm counterexample"
+    [ "fork_per_conn(connections=4,sets=0.50): no CoW fault storm" ]
+    (storm { r with cow_faults = 0 });
+  Alcotest.(check (list string)) "a lost fork is a storm counterexample"
+    [ "fork_per_conn(connections=4,sets=0.50): 7 of 8 forks" ]
+    (storm { r with forks = 7 })
+
 let suite =
   [
     Alcotest.test_case "vas_fork shares >90% and isolates writes" `Quick
@@ -457,4 +517,5 @@ let suite =
       test_empty_fork_identity;
     Alcotest.test_case "fork path minor words flat in segment size" `Quick
       test_fork_minor_words_flat;
+    Alcotest.test_case "fork syscalls, events and metrics wired" `Quick test_fork_wiring;
   ]

@@ -97,7 +97,7 @@ let test_grow_extends_heap () =
     (try
        ignore (Api.malloc ctx (Size.kib 16));
        false
-     with Api.Out_of_memory -> true);
+     with Sj_abi.Error.Fault { code = Capacity; _ } -> true);
   Api.switch_home ctx;
   Api.seg_ctl ctx (`Grow (seg, Size.kib 64));
   Api.vas_switch ctx vh;

@@ -53,6 +53,17 @@ let test_out_of_memory () =
   let _ = Pm.alloc_frame m and _ = Pm.alloc_frame m in
   Alcotest.check_raises "oom" Pm.Out_of_memory (fun () -> ignore (Pm.alloc_frame m))
 
+(* A multi-frame request larger than the free count takes nothing (it
+   used to leak every frame taken before the failure); one that exactly
+   fits succeeds, across nodes. *)
+let test_alloc_frames_all_or_nothing () =
+  let m = Pm.create ~size:(Size.kib 16) ~numa_nodes:2 in
+  let _ = Pm.alloc_frame m in
+  Alcotest.check_raises "more than free" Pm.Out_of_memory (fun () ->
+      ignore (Pm.alloc_frames ~node:1 m ~n:4));
+  Alcotest.(check int) "refusal takes nothing" 1 (Pm.frames_allocated m);
+  Alcotest.(check int) "the free count fits" 3 (Array.length (Pm.alloc_frames ~node:1 m ~n:3))
+
 let test_zero_on_alloc () =
   let m = mk () in
   let f = Pm.alloc_frame m in
@@ -126,6 +137,7 @@ let suite =
     Alcotest.test_case "NUMA placement" `Quick test_numa_placement;
     Alcotest.test_case "NUMA fallback" `Quick test_numa_fallback;
     Alcotest.test_case "out of memory" `Quick test_out_of_memory;
+    Alcotest.test_case "alloc_frames all-or-nothing" `Quick test_alloc_frames_all_or_nothing;
     Alcotest.test_case "zero on alloc" `Quick test_zero_on_alloc;
     Alcotest.test_case "read/write roundtrip" `Quick test_rw_roundtrip;
     Alcotest.test_case "cross-frame access" `Quick test_cross_frame_access;

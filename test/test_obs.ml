@@ -10,13 +10,14 @@ module Platform = Sj_machine.Platform
 module Process = Sj_kernel.Process
 module Prot = Sj_paging.Prot
 module Api = Sj_core.Api
-module Errors = Sj_core.Errors
 module Event = Sj_obs.Event
 module Ring = Sj_obs.Ring
 module Recorder = Sj_obs.Recorder
 module Metrics = Sj_obs.Metrics
 module Trace = Sj_obs.Trace
 module Suite = Sj_bench.Suite
+module Sys = Sj_abi.Sys
+module Error = Sj_abi.Error
 
 let tiny : Platform.t =
   { Platform.m2 with name = "tiny"; mem_size = Size.mib 128; sockets = 2; cores_per_socket = 2 }
@@ -73,7 +74,7 @@ let session () =
   let p2 = Process.create ~name:"p1" m in
   let ctx2 = Api.context sys p2 (Machine.core m 1) in
   let vh2 = Api.vas_attach ctx2 vas in
-  (try Api.vas_switch ctx2 vh2 with Errors.Would_block _ -> ());
+  (try Api.vas_switch ctx2 vh2 with Sj_abi.Error.Fault { code = Would_block; _ } -> ());
   (* Snapshot write-protects the segment; the next store COW-faults. *)
   let _snap = Api.seg_snapshot ctx seg ~name:"snap" in
   Api.store64 ctx ~va:a 43L;
@@ -275,6 +276,46 @@ let test_disabled_fingerprint_identity () =
         (Suite.fingerprints_equal off on))
     [ false; true ]
 
+(* --- every ABI entry is bracketed and counted --- *)
+
+(* Each entry of the dispatch table, through both dispatch helpers
+   (invoke, also with a failing body, and charge_entry for calls
+   embedded in another call's body), emits exactly one Syscall_enter
+   and one Syscall_exit naming it, and adds one call to its counter. *)
+let test_every_entry_bracketed () =
+  let m = Machine.create tiny in
+  let r = Recorder.create () in
+  Recorder.attach (Machine.sim_ctx m) r;
+  let core = Machine.core m 0 and cost = Machine.cost m in
+  let tab = Sys.create Sys.Dragonfly in
+  let helpers =
+    [
+      ("invoke", fun nr -> ignore (Sys.invoke tab ~cost core nr ignore));
+      ( "failing invoke",
+        fun nr ->
+          ignore (Sys.invoke tab ~cost core nr (fun () -> Error.fail Invalid ~op:"probe" "probe")) );
+      ("charge_entry", fun nr -> Sys.charge_entry tab ~cost core nr);
+    ]
+  in
+  Array.iter
+    (fun nr ->
+      List.iter
+        (fun (how, dispatch) ->
+          let what = Printf.sprintf "%s %s" how (Sys.name nr) in
+          Recorder.clear r;
+          let calls0, _ = Sys.counters tab nr in
+          dispatch nr;
+          let is_nr n sname = n = Sys.number nr && sname = Sys.name nr in
+          let count p = List.length (List.filter (fun (e : Event.t) -> p e.kind) (Recorder.events r)) in
+          Alcotest.(check int) (what ^ ": one enter") 1
+            (count (function Event.Syscall_enter { nr; sname } -> is_nr nr sname | _ -> false));
+          Alcotest.(check int) (what ^ ": one exit") 1
+            (count (function Event.Syscall_exit { nr; sname; _ } -> is_nr nr sname | _ -> false));
+          Alcotest.(check int) (what ^ ": nothing else") 2 (List.length (Recorder.events r));
+          Alcotest.(check int) (what ^ ": counted once") (calls0 + 1) (fst (Sys.counters tab nr)))
+        helpers)
+    Sys.all
+
 let suite =
   [
     Alcotest.test_case "ring wraps, keeps newest" `Quick test_ring_wrap;
@@ -287,4 +328,5 @@ let suite =
     Alcotest.test_case "Chrome trace JSON shape" `Quick test_chrome_json_shape;
     Alcotest.test_case "event streams -j1 vs -j4" `Quick test_stream_determinism_parallel;
     Alcotest.test_case "disabled-mode fingerprint identity" `Quick test_disabled_fingerprint_identity;
+    Alcotest.test_case "every ABI entry bracketed and counted" `Quick test_every_entry_bracketed;
   ]

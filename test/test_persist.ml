@@ -107,15 +107,28 @@ let test_corrupt_image_rejected () =
        false
      with Sj_abi.Error.Fault f -> f.code = Sj_abi.Error.Invalid)
 
+(* A colliding image is rejected before anything is allocated: no
+   frame is taken, whether the clash is a segment name or only a VAS
+   name (checked after every segment in the image). *)
 let test_name_collision_rejected () =
   let sys, _, _, _ = build_world () in
   let image = Persist.save sys in
+  let rejected_cleanly what sys =
+    let mem = Machine.mem (Api.machine sys) in
+    let before = Sj_mem.Phys_mem.frames_allocated mem in
+    Alcotest.(check bool) (what ^ ": Name_exists") true
+      (try
+         Persist.restore sys image;
+         false
+       with Sj_abi.Error.Fault { code = Name_exists; _ } -> true);
+    Alcotest.(check int) (what ^ ": no frame taken") before
+      (Sj_mem.Phys_mem.frames_allocated mem)
+  in
   (* Restoring into the same (still-populated) system collides. *)
-  Alcotest.(check bool) "collision" true
-    (try
-       Persist.restore sys image;
-       false
-     with Errors.Name_exists _ -> true)
+  rejected_cleanly "segment clash" sys;
+  let _, sys2, ctx2 = reboot () in
+  ignore (Api.vas_create ctx2 ~name:"world" ~mode:0o600);
+  rejected_cleanly "VAS clash" sys2
 
 let test_image_info () =
   let sys, _, _, _ = build_world () in

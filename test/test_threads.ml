@@ -118,7 +118,7 @@ let test_lock_modes_across_threads () =
     (try
        Api.vas_switch t1 w;
        false
-     with Errors.Would_block _ -> true);
+     with Sj_abi.Error.Fault { code = Would_block; _ } -> true);
   Api.switch_home t2;
   Api.vas_switch t1 w;
   Alcotest.(check bool) "writer enters when readers leave" true
