@@ -34,8 +34,7 @@ let jobs = ref 1
 
 (* Set by main.ml's --quick: the experiments that have a CI-sized mode
    (cluster, compartments, explore, fork) read it; the table/figure
-   experiments ignore it. The standalone harness.exe has its own
-   --quick. *)
+   experiments ignore it. *)
 let quick = ref false
 
 let pool_cell = ref None

@@ -506,102 +506,6 @@ let stats_cmd =
           metrics (per-syscall cycle histograms, TLB/lock/fault counters)")
     Term.(const run $ json $ capacity_arg)
 
-let bench_cmd =
-  let quick = Arg.(value & flag & info [ "quick" ] ~doc:"Small problem sizes (seconds, not minutes)") in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out"; "o" ] ~docv:"FILE"
-          ~doc:"Write the JSON report (schema spacejmp-bench/4) to $(docv)")
-  in
-  let jobs =
-    Arg.(
-      value
-      & opt int (Sj_util.Par.default_size ())
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:"Domain-pool size for the parallel phase (default: host cores)")
-  in
-  let run quick out jobs =
-    if jobs < 1 then begin
-      prerr_endline "bench: --jobs must be >= 1";
-      exit 2
-    end;
-    let module Suite = Sj_bench.Suite in
-    let module Report = Sj_bench.Report in
-    let benches = Suite.suite ~quick in
-    let serial_slow = Suite.run_serial ~fast:false benches in
-    let serial_fast = Suite.run_serial ~fast:true benches in
-    let (par_slow, _), (par_fast, placement, par_wall) =
-      Sj_util.Par.with_pool ~size:jobs (fun pool ->
-          ( Suite.run_parallel pool ~fast:false benches,
-            Suite.run_parallel_placed pool ~fast:true benches ))
-    in
-    (* Same refusal discipline as bench/harness.exe: no numbers unless
-       every strategy simulated the same world. *)
-    if
-      not
-        (List.for_all2 (fun s f -> s.Suite.fp = f.Suite.fp) serial_slow serial_fast
-        && Suite.fingerprints_equal serial_slow par_slow
-        && Suite.fingerprints_equal serial_fast par_fast)
-    then begin
-      prerr_endline "bench: fingerprints diverge between execution strategies";
-      exit 2
-    end;
-    List.iter2
-      (fun s f ->
-        Format.printf "%-12s slow %7.3fs  fast %7.3fs  speedup %5.2fx@." s.Suite.tname
-          s.Suite.wall f.Suite.wall
-          (s.Suite.wall /. f.Suite.wall))
-      serial_slow serial_fast;
-    let wall_serial = List.fold_left (fun a t -> a +. t.Suite.wall) 0. serial_fast in
-    Format.printf "parallel -j %d: batch %.3fs vs serial %.3fs (%.2fx); fingerprints equal@."
-      jobs par_wall wall_serial (wall_serial /. par_wall);
-    match out with
-    | None -> ()
-    | Some path ->
-      let report =
-        {
-          Report.quick;
-          jobs;
-          cores = Domain.recommended_domain_count ();
-          detected_cores = Report.detected_cores ();
-          ocaml_version = Sys.ocaml_version;
-          benches =
-            List.map2
-              (fun (b, s) (f, pf) ->
-                {
-                  Report.name = s.Suite.tname;
-                  shards = Array.length b.Suite.shards;
-                  placement =
-                    (try List.assoc s.Suite.tname placement
-                     with Not_found -> [||]);
-                  (* Proven above, or we exited 2. *)
-                  equal_between_modes = true;
-                  equal_serial_parallel = true;
-                  wall_slow = s.Suite.wall;
-                  wall_fast = f.Suite.wall;
-                  wall_parallel = pf.Suite.wall;
-                  minor_words = f.Suite.minor_words;
-                  major_words = f.Suite.major_words;
-                  simulated = f.Suite.fp;
-                })
-              (List.combine benches serial_slow)
-              (List.combine serial_fast par_fast);
-          wall_serial;
-          wall_parallel = par_wall;
-        }
-      in
-      let oc = open_out path in
-      output_string oc (Report.to_json report);
-      close_out oc;
-      Format.printf "wrote %s@." path
-  in
-  Cmd.v
-    (Cmd.info "bench"
-       ~doc:"Run the wall-clock bench suite (fast path + domain parallelism)")
-    Term.(const run $ quick $ out $ jobs)
-
 (* One command per Sj_experiments spec; the shared runner prints the
    tables, runs the audits and claims, and writes (or refuses) the
    report. *)
@@ -631,7 +535,7 @@ let () =
     Cmd.group info
       ([
          platforms_cmd; gups_cmd; demo_cmd; redis_cmd; faults_cmd; check_cmd; persist_cmd;
-         inspect_cmd; samtools_cmd; bench_cmd; trace_cmd; stats_cmd;
+         inspect_cmd; samtools_cmd; trace_cmd; stats_cmd;
        ]
       @ List.map experiment_cmd Sj_experiments.all)
   in

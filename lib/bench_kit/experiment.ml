@@ -48,24 +48,27 @@ let check t = function
 let check_string t s = check t (Json.parse s)
 let check_file t path = check t (Json.read_file path)
 
+let standard_audits = [ "rerun"; "trace-on"; "empty-fault-plan"; "domains" ]
+
 (* The battery every experiment runs: the audit config must reproduce
    its reference fingerprint under each host-side condition that must
-   not leak into simulated results, then under the spec's own audits.
-   Returns the audit names and the ones that diverged, in run order. *)
+   not leak into simulated results ([standard_audits], in order), then
+   under the spec's own audits. Returns the audit names and the ones
+   that diverged, in run order. *)
 let audits ~quick ~jobs s r =
   let run = s.audit ~quick in
   let reference = run () in
   let same fp = fp = reference in
   let battery =
-    [
-      ("rerun", fun () -> same (run ()));
-      ("trace-on", fun () -> same (Sj_obs.Recorder.with_tracing true run));
-      ("empty-fault-plan", fun () -> same (Sj_fault.Injector.with_plan [] run));
-      ( "domains",
-        fun () ->
+    List.combine standard_audits
+      [
+        (fun () -> same (run ()));
+        (fun () -> same (Sj_obs.Recorder.with_tracing true run));
+        (fun () -> same (Sj_fault.Injector.with_plan [] run));
+        (fun () ->
           Par.with_pool ~size:(max 2 jobs) (fun pool ->
-              List.for_all same (Par.map_list pool run [ (); () ])) );
-    ]
+              List.for_all same (Par.map_list pool run [ (); () ])));
+      ]
     @ s.extra_audits ~quick r
   in
   (List.map fst battery, List.filter_map (fun (n, ok) -> if ok () then None else Some n) battery)

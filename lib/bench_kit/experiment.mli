@@ -58,6 +58,12 @@ val out_path : t -> string
 
 val claim_names : t -> string list
 
+val standard_audits : string list
+(** The audits {!execute} runs for every spec, in order, before the
+    spec's [extra_audits]: a plain rerun, tracing on, an empty fault
+    plan and a domain pool. A report's [determinism.audits] starts with
+    these names. *)
+
 val rules : t -> string list
 (** Everything a report of this spec must satisfy: the schema, the
     host block, the spec's [required] rules, every claim [true] and

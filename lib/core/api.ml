@@ -1165,6 +1165,7 @@ let seg_alloc_body ?(huge = false) ?(tier = `Performance) ctx ~name ~base ~size 
       | Some n -> Some n
       | None -> Error.fail Invalid ~op:"seg_alloc" "this platform has no capacity tier")
   in
+  Registry.check_seg_name ctx.sys.reg ~name;
   let seg =
     Segment.create ~huge ?node ~acl ~charge_to:(Some ctx.core) ~machine:ctx.sys.machine ~name
       ~base ~size ~prot:Prot.rw ()
@@ -1177,8 +1178,13 @@ let seg_alloc_c ?huge ?tier ctx ~name ~base ~size ~mode =
 
 let seg_alloc_anywhere_c ?huge ?tier ctx ~name ~size ~mode =
   call ctx Seg_alloc (fun () ->
-      let base = Layout.next_global_base (Machine.sim_ctx ctx.sys.machine) ~size in
-      seg_alloc_body ?huge ?tier ctx ~name ~base ~size ~mode)
+      (* Take the layout slot only once the segment exists: a refused
+         allocation leaves the cursor where it was. *)
+      let sim = Machine.sim_ctx ctx.sys.machine in
+      let base = Layout.peek_global_base sim ~size in
+      let seg = seg_alloc_body ?huge ?tier ctx ~name ~base ~size ~mode in
+      Layout.reserve_global sim ~base ~size;
+      seg)
 
 let seg_find_c ctx ~name = call ctx Seg_find (fun () -> Registry.find_seg ctx.sys.reg ~name)
 

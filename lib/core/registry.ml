@@ -67,9 +67,12 @@ let unregister_vas t vas =
 
 let list_vases t = Hashtbl.fold (fun _ v acc -> v :: acc) t.vases []
 
+let check_seg_name t ~name =
+  if Hashtbl.mem t.segs name then Sj_abi.Error.fail Name_exists ~op:"seg_alloc" name
+
 let register_seg t seg =
   let name = Segment.name seg in
-  if Hashtbl.mem t.segs name then Sj_abi.Error.fail Name_exists ~op:"seg_alloc" name;
+  check_seg_name t ~name;
   Hashtbl.replace t.segs name seg;
   Hashtbl.replace t.segs_by_id (Segment.sid seg) seg
 

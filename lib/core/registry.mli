@@ -33,6 +33,10 @@ val list_vases : t -> Vas.t list
 
 (** {2 Segments} *)
 
+val check_seg_name : t -> name:string -> unit
+(** Raise [Name_exists] if a segment already holds [name]; a segment
+    allocation calls it before it takes any frames. *)
+
 val register_seg : t -> Segment.t -> unit
 val find_seg : t -> name:string -> Segment.t
 val find_seg_by_id : t -> int -> Segment.t

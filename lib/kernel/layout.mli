@@ -38,6 +38,12 @@ val next_global_base : Sj_util.Sim_ctx.t -> size:int -> int
     the cursor unchanged, so callers can observe the fault and retry
     after releasing space. *)
 
+val peek_global_base : Sj_util.Sim_ctx.t -> size:int -> int
+(** The base {!next_global_base} would return, without advancing the
+    cursor (same [Layout_exhausted] fault). A caller whose allocation
+    can still fail peeks, allocates, then commits with
+    {!reserve_global}. *)
+
 val reset_global_allocator : Sj_util.Sim_ctx.t -> unit
 (** Reset the sequential allocator (machine reuse within one test). *)
 

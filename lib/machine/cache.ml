@@ -139,10 +139,6 @@ let access t ~pa =
     end
   end
 
-(* [access] is already allocation-free once a set's row exists; the
-   fast path shares it. *)
-let access_fast = access
-
 let probe t ~pa =
   let la = line_addr t pa in
   let row = row_of t (set_of t la) in

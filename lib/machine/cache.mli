@@ -15,11 +15,6 @@ val create : size:int -> ways:int -> line:int -> t
 val access : t -> pa:int -> bool
 (** Touch the line holding [pa]; true = hit, false = miss+fill. *)
 
-val access_fast : t -> pa:int -> bool
-(** Observably identical to {!access} (same state transitions, stats
-    and result) but allocation-free; used by the machine's host-side
-    fast path. *)
-
 val probe : t -> pa:int -> bool
 (** Like {!access} but without filling on miss (used by coherence). *)
 

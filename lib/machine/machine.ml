@@ -34,14 +34,6 @@ type core_state = {
      without touching [pt], [tag], the TLB or any cache. *)
   mutable pkru : int;
   mutable fault_handler : (va:int -> access:access -> bool) option;
-  (* Per-core paging-structure caches, one slot per (low bits of) ASID
-     tag so they stay warm across vas_switch: switching away and back
-     finds the previous address space's interior-node pointers intact.
-     Each slot self-validates against the owning table's identity and
-     the Phys_mem structural epoch (see Page_table.walk_cached), so no
-     reset on CR3 load is needed for correctness. *)
-  wcaches : Page_table.walk_cache array;
-  scratch : Bytes.t; (* reusable memcpy bounce buffer (fast path) *)
 }
 
 and t = {
@@ -55,31 +47,11 @@ and t = {
      so machines are independent of each other — bit-identical results
      no matter how many machines exist or which domain runs them. *)
   ctx : Sim_ctx.t;
-  (* Host-side translation/bulk fast path. Semantics-preserving: the
-     simulated cycles, TLB/page-table stats and data results are
-     bit-identical with [fast] on or off (test/test_fastpath.ml is the
-     oracle); only host wall-clock changes. *)
-  fast : bool;
 }
 
-(* Default for machines whose creator does not pass [?fast] — lets the
-   bench harness drive whole workloads (which create their own
-   machines) down either path. Domain-local: each domain carries its
-   own default, so parallel tasks control their mode independently
-   (a fresh domain starts at [true]; tasks needing a specific mode
-   wrap themselves in [with_fast_path]). *)
-let default_fast = Domain.DLS.new_key (fun () -> true)
-
-let with_fast_path enabled f =
-  let saved = Domain.DLS.get default_fast in
-  Domain.DLS.set default_fast enabled;
-  Fun.protect ~finally:(fun () -> Domain.DLS.set default_fast saved) f
-
 let memcpy_chunk = 4096
-let wcache_slots = 16 (* power of two; slot = tag land (wcache_slots - 1) *)
 
-let create ?fast (platform : Platform.t) =
-  let fast = match fast with Some f -> f | None -> Domain.DLS.get default_fast in
+let create (platform : Platform.t) =
   let mem =
     Phys_mem.create_tiered ~size:platform.mem_size ~numa_nodes:platform.sockets
       ~capacity_size:platform.capacity_size
@@ -90,7 +62,7 @@ let create ?fast (platform : Platform.t) =
   in
   let t =
     { platform; mem; cost = platform.cost; llcs; core_list = [||];
-      ctx = Sim_ctx.create (); fast }
+      ctx = Sim_ctx.create () }
   in
   let cores =
     Array.init (Platform.total_cores platform) (fun i ->
@@ -105,8 +77,6 @@ let create ?fast (platform : Platform.t) =
           tag = 0;
           pkru = Pkey.default;
           fault_handler = None;
-          wcaches = Array.init wcache_slots (fun _ -> Page_table.walk_cache_create ());
-          scratch = Bytes.create memcpy_chunk;
         })
   in
   t.core_list <- cores;
@@ -142,7 +112,6 @@ let platform t = t.platform
 let mem t = t.mem
 let cost t = t.cost
 let sim_ctx t = t.ctx
-let fast_path_enabled t = t.fast
 
 module Core = struct
   type core = core_state
@@ -166,11 +135,6 @@ module Core = struct
     if tag < 0 || tag > Tlb.max_tag c.tlb then invalid_arg "Core.set_page_table: bad tag";
     c.pt <- pt;
     c.tag <- tag;
-    (* The walk-cache slots are NOT reset here: each slot revalidates
-       itself against the table it cached (walk_cached checks both the
-       table's identity and the structural epoch), so a switch back to
-       a recently used address space resumes with its paging-structure
-       cache warm — the host-side analogue of the tagged TLB below. *)
     (match pt with
     | None -> ()
     | Some _ ->
@@ -191,68 +155,19 @@ module Core = struct
           if node = c.socket then m.cost.dram_local else m.cost.dram_remote)
     end
 
-  let dram_line_cost c ~pa =
-    let m = c.machine in
-    let node = Phys_mem.node_of_frame m.mem (Phys_mem.frame_of_addr pa) in
-    match Phys_mem.node_kind m.mem node with
-    | Phys_mem.Capacity -> m.cost.dram_capacity
-    | Phys_mem.Performance ->
-      if node = c.socket then m.cost.dram_local else m.cost.dram_remote
-
-  (* Charge for all lines overlapped by [pa, pa+len). The fast path
-     performs the very same per-line cache accesses (the L1/LLC state
-     transitions must be identical), but accumulates the cost locally
-     with the DRAM latency resolved once for the run instead of per
-     missing line, and charges in one step. *)
+  (* Charge for all lines overlapped by [pa, pa+len). *)
   let data_access c ~pa ~len =
-    let m = c.machine in
-    let line = m.platform.line in
-    let first = pa / line and last = (pa + len - 1) / line in
-    if not m.fast then
-      for l = first to last do
-        line_access c ~pa:(l * line)
-      done
-    else if first = last then begin
-      (* Single line (loads, stores, touches): [line_access] with the
-         allocation-free cache probe. *)
-      if Cache.access_fast c.l1 ~pa then charge c m.cost.l1_hit
-      else if Cache.access_fast m.llcs.(c.socket) ~pa then charge c m.cost.llc_hit
-      else charge c (dram_line_cost c ~pa)
-    end
-    else begin
-      let dram = dram_line_cost c ~pa:(first * line) in
-      if dram <> dram_line_cost c ~pa:(last * line) then
-        (* Run straddles a latency-domain boundary (NUMA node or tier):
-           resolve per line like the slow path. *)
-        for l = first to last do
-          line_access c ~pa:(l * line)
-        done
-      else begin
-        let l1 = c.l1 and llc = m.llcs.(c.socket) in
-        let c_l1 = m.cost.l1_hit and c_llc = m.cost.llc_hit in
-        let acc = ref 0 in
-        for l = first to last do
-          let pa = l * line in
-          if Cache.access_fast l1 ~pa then acc := !acc + c_l1
-          else if Cache.access_fast llc ~pa then acc := !acc + c_llc
-          else acc := !acc + dram
-        done;
-        charge c !acc
-      end
-    end
+    let line = c.machine.platform.line in
+    for l = pa / line to (pa + len - 1) / line do
+      line_access c ~pa:(l * line)
+    done
 
   let prot_allows (prot : Prot.t) access =
     match access with Read -> prot.read | Write -> prot.write
 
-  (* TLB-miss path, shared by both translation paths; only the walk
-     itself differs (cached vs full descent — same result either way). *)
   let translate_miss c pt ~va ~access =
     let m = c.machine in
-    match
-      if m.fast then
-        Page_table.walk_cached pt c.wcaches.(c.tag land (wcache_slots - 1)) ~va
-      else Page_table.walk pt ~va
-    with
+    match Page_table.walk pt ~va with
     | None -> raise (Page_fault { va; access })
     | Some mapping ->
       (* The page walker touches one table entry per level; its
@@ -286,31 +201,17 @@ module Core = struct
     | None -> raise No_page_table
     | Some pt ->
       charge c m.cost.tlb_hit;
-      if m.fast then begin
-        (* Allocation-free probe: MRU, then the normal scan. *)
-        let r =
-          Tlb.translate_probe c.tlb ~tag:c.tag ~pkru:c.pkru ~va
-            ~write:(match access with Write -> true | Read -> false)
-        in
-        if r >= 0 then r
-        else if r = Tlb.missed then translate_miss c pt ~va ~access
-        else if r = Tlb.key_failed then raise (Key_fault { va; access })
-        else raise (Protection_fault { va; access })
-      end
-      else begin
-        match Tlb.lookup c.tlb ~tag:c.tag ~va with
-        | Some hit ->
-          if not (prot_allows hit.prot access) then
-            raise (Protection_fault { va; access });
-          if
-            hit.key <> 0
-            && not
-                 (Pkey.allows c.pkru ~key:hit.key
-                    ~write:(match access with Write -> true | Read -> false))
-          then raise (Key_fault { va; access });
-          hit.pa
-        | None -> translate_miss c pt ~va ~access
-      end
+      match Tlb.lookup c.tlb ~tag:c.tag ~va with
+      | Some hit ->
+        if not (prot_allows hit.prot access) then raise (Protection_fault { va; access });
+        if
+          hit.key <> 0
+          && not
+               (Pkey.allows c.pkru ~key:hit.key
+                  ~write:(match access with Write -> true | Read -> false))
+        then raise (Key_fault { va; access });
+        hit.pa
+      | None -> translate_miss c pt ~va ~access
 
   (* A faulting translation gives the installed handler a chance to
      repair the mapping (demand splits, COW) and retry. [Key_fault]
@@ -336,14 +237,12 @@ module Core = struct
   let load8 c ~va =
     let pa = translate c ~va ~access:Read in
     data_access c ~pa ~len:1;
-    if c.machine.fast then Phys_mem.read8_fast c.machine.mem ~pa
-    else Phys_mem.read8 c.machine.mem ~pa
+    Phys_mem.read8 c.machine.mem ~pa
 
   let store8 c ~va v =
     let pa = translate c ~va ~access:Write in
     data_access c ~pa ~len:1;
-    if c.machine.fast then Phys_mem.write8_fast c.machine.mem ~pa v
-    else Phys_mem.write8 c.machine.mem ~pa v
+    Phys_mem.write8 c.machine.mem ~pa v
 
   (* Multi-byte accesses may cross a page boundary; split per page. *)
   let split_pages ~va ~len f =
@@ -359,8 +258,7 @@ module Core = struct
     if Addr.offset_in_page va <= Addr.page_size - 8 then begin
       let pa = translate c ~va ~access:Read in
       data_access c ~pa ~len:8;
-      if c.machine.fast then Phys_mem.read64_fast c.machine.mem ~pa
-      else Phys_mem.read64 c.machine.mem ~pa
+      Phys_mem.read64 c.machine.mem ~pa
     end
     else begin
       let v = ref 0L in
@@ -374,87 +272,41 @@ module Core = struct
     if Addr.offset_in_page va <= Addr.page_size - 8 then begin
       let pa = translate c ~va ~access:Write in
       data_access c ~pa ~len:8;
-      if c.machine.fast then Phys_mem.write64_fast c.machine.mem ~pa v
-      else Phys_mem.write64 c.machine.mem ~pa v
+      Phys_mem.write64 c.machine.mem ~pa v
     end
     else
       for i = 0 to 7 do
         store8 c ~va:(va + i) (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xff)
       done
 
-  (* Fused read-xor-write of one aligned word: by construction exactly
-     [load64] followed by [store64] of the xored value — same
-     translations, same cache traffic, same cycle charges — but a
-     single call, so the value never round-trips boxed through the
-     caller and the write's translation hits the probe still warm from
-     the read. This is GUPS's inner loop (§5, Fig. 8). *)
-  let xor64 c ~va mask =
-    if c.machine.fast && Addr.offset_in_page va <= Addr.page_size - 8 then begin
-      let mem = c.machine.mem in
-      let pa_r = translate c ~va ~access:Read in
-      data_access c ~pa:pa_r ~len:8;
-      let v = Phys_mem.read64_fast mem ~pa:pa_r in
-      let pa_w = translate c ~va ~access:Write in
-      data_access c ~pa:pa_w ~len:8;
-      Phys_mem.write64_fast mem ~pa:pa_w (Int64.logxor v mask)
-    end
-    else begin
-      let v = load64 c ~va in
-      store64 c ~va (Int64.logxor v mask)
-    end
+  (* Read-xor-write of one word: [load64] then [store64] of the xored
+     value. This is GUPS's inner loop (§5, Fig. 8). *)
+  let xor64 c ~va mask = store64 c ~va (Int64.logxor (load64 c ~va) mask)
 
-  (* Bulk operations translate once per page run and (on the fast path)
-     blit directly between the caller's buffer and physical memory —
-     no intermediate [bytes] per page, so big copies stop churning the
-     minor heap. Cycle charges and cache state are identical to the
-     slow path: same per-page translations, same per-line accesses. *)
-
-  let read_page_run c ~dst ~va ~off ~len =
-    let pa = translate c ~va ~access:Read in
-    data_access c ~pa ~len;
-    Phys_mem.read_into c.machine.mem ~pa ~dst ~off ~len
-
-  let write_page_run c ~src ~va ~off ~len =
-    let pa = translate c ~va ~access:Write in
-    data_access c ~pa ~len;
-    Phys_mem.write_from c.machine.mem ~pa ~src ~off ~len
-
+  (* Bulk operations translate once per page run. *)
   let load_bytes c ~va ~len =
     let out = Bytes.create len in
-    if c.machine.fast then
-      split_pages ~va ~len (fun ~va ~off ~len -> read_page_run c ~dst:out ~va ~off ~len)
-    else
-      split_pages ~va ~len (fun ~va ~off ~len ->
-          let pa = translate c ~va ~access:Read in
-          data_access c ~pa ~len;
-          Bytes.blit (Phys_mem.read_bytes c.machine.mem ~pa ~len) 0 out off len);
+    split_pages ~va ~len (fun ~va ~off ~len ->
+        let pa = translate c ~va ~access:Read in
+        data_access c ~pa ~len;
+        Bytes.blit (Phys_mem.read_bytes c.machine.mem ~pa ~len) 0 out off len);
     out
 
   let store_bytes c ~va src =
-    if c.machine.fast then
-      split_pages ~va ~len:(Bytes.length src) (fun ~va ~off ~len ->
-          write_page_run c ~src ~va ~off ~len)
-    else
-      split_pages ~va ~len:(Bytes.length src) (fun ~va ~off ~len ->
-          let pa = translate c ~va ~access:Write in
-          data_access c ~pa ~len;
-          Phys_mem.write_bytes c.machine.mem ~pa (Bytes.sub src off len))
+    split_pages ~va ~len:(Bytes.length src) (fun ~va ~off ~len ->
+        let pa = translate c ~va ~access:Write in
+        data_access c ~pa ~len;
+        Phys_mem.write_bytes c.machine.mem ~pa (Bytes.sub src off len))
 
   let touch c ~va ~access =
     let pa = translate c ~va ~access in
     data_access c ~pa ~len:1
 
   let memset c ~va ~len x =
-    if c.machine.fast then
-      split_pages ~va ~len (fun ~va ~off:_ ~len ->
-          let pa = translate c ~va ~access:Write in
-          data_access c ~pa ~len;
-          Phys_mem.fill c.machine.mem ~pa ~len x)
-    else
-      split_pages ~va ~len (fun ~va ~off:_ ~len ->
-          let pa = translate c ~va ~access:Write in
-          data_access c ~pa ~len;
-          Phys_mem.write_bytes c.machine.mem ~pa (Bytes.make len x))
+    split_pages ~va ~len (fun ~va ~off:_ ~len ->
+        let pa = translate c ~va ~access:Write in
+        data_access c ~pa ~len;
+        Phys_mem.write_bytes c.machine.mem ~pa (Bytes.make len x))
 
   let memcpy c ~dst ~src ~len =
     (* Chunked through a bounce buffer; charges both streams. Copies
@@ -463,28 +315,13 @@ module Core = struct
        accumulated cycles (a streaming bandwidth of roughly 8x the
        dependent-access rate, representative of rep-movsb copies). *)
     let before = c.cycles in
-    let chunk = memcpy_chunk in
     let pos = ref 0 in
-    if c.machine.fast then begin
-      (* Same chunked bounce semantics (overlap behaves identically),
-         but through the core's reusable scratch buffer. *)
-      let scratch = c.scratch in
-      while !pos < len do
-        let n = min chunk (len - !pos) in
-        split_pages ~va:(src + !pos) ~len:n (fun ~va ~off ~len ->
-            read_page_run c ~dst:scratch ~va ~off ~len);
-        split_pages ~va:(dst + !pos) ~len:n (fun ~va ~off ~len ->
-            write_page_run c ~src:scratch ~va ~off ~len);
-        pos := !pos + n
-      done
-    end
-    else
-      while !pos < len do
-        let n = min chunk (len - !pos) in
-        let data = load_bytes c ~va:(src + !pos) ~len:n in
-        store_bytes c ~va:(dst + !pos) data;
-        pos := !pos + n
-      done;
+    while !pos < len do
+      let n = min memcpy_chunk (len - !pos) in
+      let data = load_bytes c ~va:(src + !pos) ~len:n in
+      store_bytes c ~va:(dst + !pos) data;
+      pos := !pos + n
+    done;
     let delta = c.cycles - before in
     charge c (-(delta - ((delta + 7) / 8)))
 

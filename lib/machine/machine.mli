@@ -33,24 +33,11 @@ exception Out_of_memory
     machine name the hardware condition here. The ABI boundary
     ([Sj_abi.Sys.invoke]) turns it into a [Capacity] fault. *)
 
-val create : ?fast:bool -> Platform.t -> t
-(** [?fast] selects the host-side translation/bulk fast path (per-core
-    MRU translation cache, software page-walk cache, batched bulk
-    accesses). Semantics-preserving: simulated cycles, TLB/page-table
-    stats and data results are bit-identical either way
-    (test/test_fastpath.ml asserts this); only host wall-clock differs.
-    Defaults to the ambient {!with_fast_path} setting (initially
-    [true]); [~fast:false] is the escape hatch / baseline. *)
-
-val with_fast_path : bool -> (unit -> 'a) -> 'a
-(** [with_fast_path enabled f] runs [f] with the given default for
-    machines created without an explicit [?fast] — how the bench
-    harness drives whole workloads down either path. The default is
-    *domain-local*: setting it in one domain does not affect tasks
-    running in others, so a parallel task that needs a specific mode
-    wraps its own body (fresh domains start at [true]). *)
-
-val fast_path_enabled : t -> bool
+val create : Platform.t -> t
+(** A machine with the platform's memory, caches and cores. The ambient
+    tracing ({!Sj_obs.Recorder.with_tracing}) and fault plan
+    ({!Sj_fault.Injector.with_plan}) settings, if on, attach a recorder
+    or injector to it. *)
 
 val platform : t -> Platform.t
 val mem : t -> Sj_mem.Phys_mem.t

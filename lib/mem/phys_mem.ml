@@ -27,18 +27,9 @@ type t = {
   default_order : int array;
   contents : (frame, bytes) Hashtbl.t; (* lazily materialized *)
   mutable n_allocated : int;
-  (* Last-frame memo for the machine's fast path: when [memo_frame]
-     is non-negative it is an allocated frame whose backing bytes are
-     [memo_bytes], so repeated accesses inside one frame skip both
-     hashtable probes. Invalidated on free and zero. *)
-  mutable memo_frame : frame;
-  mutable memo_bytes : bytes;
-  (* Structural-change epoch for the page tables built over this
-     memory; see {!bump_pt_epoch}. *)
-  mutable pt_epoch : int;
   (* Node arena for the page tables built over this memory. Lives here
-     (like the epoch) because grafting shares interior nodes across
-     tables, so their indices must resolve in one common store. *)
+     because grafting shares interior nodes across tables, so their
+     indices must resolve in one common store. *)
   pt_store : Pt_store.t;
   (* Roots and extracted-subtree handles of the live page tables over
      this memory, as raw node indices (registered by
@@ -85,9 +76,6 @@ let create_tiered ~size ~numa_nodes ~capacity_size =
         (if capacity_frames > 0 then [| numa_nodes |] else [||]);
     contents = Hashtbl.create 4096;
     n_allocated = 0;
-    memo_frame = -1;
-    memo_bytes = Bytes.empty;
-    pt_epoch = 0;
     pt_store = Pt_store.create ();
     pt_roots = [];
     pt_handles = [];
@@ -117,8 +105,6 @@ let node_of_frame t f =
 
 let is_allocated t f =
   f >= 0 && f < t.frames_total && Bytes.unsafe_get t.allocated f <> '\000'
-let pt_epoch t = t.pt_epoch
-let bump_pt_epoch t = t.pt_epoch <- t.pt_epoch + 1
 let pt_store t = t.pt_store
 
 let remove_first x l =
@@ -237,10 +223,6 @@ let free_frame t f =
     invalid_arg "Phys_mem.free_frame: frame not allocated";
   Bytes.unsafe_set t.allocated f '\000';
   Hashtbl.remove t.contents f;
-  if t.memo_frame = f then begin
-    t.memo_frame <- -1;
-    t.memo_bytes <- Bytes.empty
-  end;
   t.n_allocated <- t.n_allocated - 1;
   let node = node_of_frame t f in
   t.free_lists.(node) <- f :: t.free_lists.(node)
@@ -328,119 +310,6 @@ let write_bytes t ~pa src =
     pos := !pos + chunk
   done
 
-let read_into t ~pa ~dst ~off ~len =
-  let pos = ref 0 in
-  while !pos < len do
-    let a = pa + !pos in
-    let f = frame_of_addr a in
-    check_allocated t f "read_into";
-    let foff = Addr.offset_in_page a in
-    let chunk = min (len - !pos) (Addr.page_size - foff) in
-    (match Hashtbl.find_opt t.contents f with
-    | None -> Bytes.fill dst (off + !pos) chunk '\000'
-    | Some b -> Bytes.blit b foff dst (off + !pos) chunk);
-    pos := !pos + chunk
-  done
-
-let write_from t ~pa ~src ~off ~len =
-  let pos = ref 0 in
-  while !pos < len do
-    let a = pa + !pos in
-    let f = frame_of_addr a in
-    check_allocated t f "write_from";
-    let foff = Addr.offset_in_page a in
-    let chunk = min (len - !pos) (Addr.page_size - foff) in
-    Bytes.blit src (off + !pos) (backing t f) foff chunk;
-    pos := !pos + chunk
-  done
-
-let fill t ~pa ~len x =
-  let pos = ref 0 in
-  while !pos < len do
-    let a = pa + !pos in
-    let f = frame_of_addr a in
-    check_allocated t f "fill";
-    let foff = Addr.offset_in_page a in
-    let chunk = min (len - !pos) (Addr.page_size - foff) in
-    (* Filling a whole never-touched frame with zero stays lazy. *)
-    if x = '\000' && foff = 0 && chunk = Addr.page_size && not (Hashtbl.mem t.contents f)
-    then ()
-    else Bytes.fill (backing t f) foff chunk x;
-    pos := !pos + chunk
-  done
-
 let zero_frame t f =
   check_allocated t f "zero_frame";
-  Hashtbl.remove t.contents f;
-  if t.memo_frame = f then begin
-    t.memo_frame <- -1;
-    t.memo_bytes <- Bytes.empty
-  end
-
-(* {2 Fast-path accessors}
-
-   Observably identical to their plain counterparts (including read
-   laziness: a never-written frame is not materialized by reads) but
-   allocation-free on the hot path via the last-frame memo. *)
-
-let read8_fast t ~pa =
-  let f = frame_of_addr pa in
-  if t.memo_frame = f then Char.code (Bytes.get t.memo_bytes (Addr.offset_in_page pa))
-  else begin
-    check_allocated t f "read8";
-    match Hashtbl.find_opt t.contents f with
-    | None -> 0
-    | Some b ->
-      t.memo_frame <- f;
-      t.memo_bytes <- b;
-      Char.code (Bytes.get b (Addr.offset_in_page pa))
-  end
-
-let write8_fast t ~pa v =
-  let f = frame_of_addr pa in
-  let b =
-    if t.memo_frame = f then t.memo_bytes
-    else begin
-      check_allocated t f "write8";
-      let b = backing t f in
-      t.memo_frame <- f;
-      t.memo_bytes <- b;
-      b
-    end
-  in
-  Bytes.set b (Addr.offset_in_page pa) (Char.chr (v land 0xff))
-
-let read64_fast t ~pa =
-  let off = Addr.offset_in_page pa in
-  if off <= Addr.page_size - 8 then begin
-    let f = frame_of_addr pa in
-    if t.memo_frame = f then Bytes.get_int64_le t.memo_bytes off
-    else begin
-      check_allocated t f "read64";
-      match Hashtbl.find_opt t.contents f with
-      | None -> 0L
-      | Some b ->
-        t.memo_frame <- f;
-        t.memo_bytes <- b;
-        Bytes.get_int64_le b off
-    end
-  end
-  else read64 t ~pa
-
-let write64_fast t ~pa v =
-  let off = Addr.offset_in_page pa in
-  if off <= Addr.page_size - 8 then begin
-    let f = frame_of_addr pa in
-    let b =
-      if t.memo_frame = f then t.memo_bytes
-      else begin
-        check_allocated t f "write64";
-        let b = backing t f in
-        t.memo_frame <- f;
-        t.memo_bytes <- b;
-        b
-      end
-    in
-    Bytes.set_int64_le b off v
-  end
-  else write64 t ~pa v
+  Hashtbl.remove t.contents f

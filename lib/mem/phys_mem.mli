@@ -70,22 +70,11 @@ val node_of_frame : t -> frame -> int
 
 val is_allocated : t -> frame -> bool
 
-val pt_epoch : t -> int
-(** Structural-change epoch of the page tables built over this memory.
-    Interior page-table subtrees may be shared between roots (grafting),
-    but only among tables over the *same* physical memory — so a
-    per-memory epoch is exactly wide enough to invalidate software
-    walk caches soundly, while keeping independent simulations (each
-    with its own [Phys_mem.t]) from perturbing each other. Maintained by
-    [Sj_paging.Page_table]. *)
-
-val bump_pt_epoch : t -> unit
-(** Record a structural page-table change (map/unmap/graft/...). *)
-
 val pt_store : t -> Pt_store.t
-(** Node arena for the page tables built over this memory (shared
-    across tables for the same reason as {!pt_epoch}; used by
-    [Sj_paging.Page_table]). *)
+(** Node arena for the page tables built over this memory. Interior
+    subtrees may be shared between roots (grafting), but only among
+    tables over the same physical memory, so the arena lives here;
+    used by [Sj_paging.Page_table]. *)
 
 (** {2 Page-table root/handle registry}
 
@@ -122,28 +111,5 @@ val write64 : t -> pa:int -> int64 -> unit
 val read_bytes : t -> pa:int -> len:int -> bytes
 val write_bytes : t -> pa:int -> bytes -> unit
 
-val read_into : t -> pa:int -> dst:bytes -> off:int -> len:int -> unit
-(** [read_bytes] into a caller-provided buffer at [off]; allocates
-    nothing (bulk fast path). *)
-
-val write_from : t -> pa:int -> src:bytes -> off:int -> len:int -> unit
-(** [write_bytes] from a slice [off, off+len) of [src]; allocates
-    nothing (bulk fast path). *)
-
-val fill : t -> pa:int -> len:int -> char -> unit
-(** Set [len] bytes starting at [pa] to one value (memset fast path);
-    zero-filling whole untouched frames stays lazy. *)
-
 val zero_frame : t -> frame -> unit
 (** Reset a frame's contents to zero (page-zeroing on allocation paths). *)
-
-(** {2 Fast-path accessors}
-
-    Observably identical to the plain accessors -- same values, same
-    errors, same read laziness -- but allocation-free via a last-frame
-    memo. Used by the machine's host-side fast path. *)
-
-val read8_fast : t -> pa:int -> int
-val write8_fast : t -> pa:int -> int -> unit
-val read64_fast : t -> pa:int -> int64
-val write64_fast : t -> pa:int -> int64 -> unit

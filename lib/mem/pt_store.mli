@@ -22,7 +22,7 @@ val alloc : t -> level:int -> frame:int -> int
 
 val free : t -> int -> unit
 (** Recycle a node index. The caller owns frame release and any
-    epoch/generation bookkeeping that makes stale indices detectable. *)
+    bookkeeping that makes stale indices detectable ({!free_count}). *)
 
 val free_count : t -> int
 (** Monotone count of [free] calls over this store's lifetime. A cached

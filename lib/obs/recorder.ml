@@ -57,9 +57,9 @@ let clear t =
 
 (* Ambient default, read by Machine.create: [None] means machines boot
    with tracing off; [Some capacity] means every machine created in this
-   dynamic extent gets a fresh enabled recorder. Domain-local (like
-   Machine.with_fast_path) so parallel trials inherit their own copy and
-   serial-vs-parallel runs behave identically. *)
+   dynamic extent gets a fresh enabled recorder. Domain-local so
+   parallel trials inherit their own copy and serial-vs-parallel runs
+   behave identically. *)
 let ambient : int option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
 let ambient_capacity () = Domain.DLS.get ambient

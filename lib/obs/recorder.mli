@@ -53,5 +53,5 @@ val ambient_capacity : unit -> int option
     means new machines boot with an enabled recorder attached. *)
 
 val with_tracing : ?capacity:int -> bool -> (unit -> 'a) -> 'a
-(** [with_tracing on f] runs [f] with the ambient default set (like
-    [Machine.with_fast_path]); domain-local, restored on exit. *)
+(** [with_tracing on f] runs [f] with the ambient default set;
+    domain-local, restored on exit. *)

@@ -75,19 +75,6 @@ type subtree = { s_idx : int; s_level : int }
 
 let fresh_stats () = { tables_allocated = 0; tables_freed = 0; pte_writes = 0; pte_clears = 0 }
 
-(* Structural-change epoch, kept per *physical memory*: interior
-   subtrees may be shared between roots (grafting), so a mutation
-   through one root can be visible in walks of another — but only among
-   tables over the same [Phys_mem.t]. Walk caches self-invalidate
-   whenever any table over that memory changed, which is trivially
-   sound, costs nothing on the mutation-free hot loops the caches
-   target, and keeps independent simulations (each with its own
-   physical memory) from invalidating each other's caches. The epoch
-   also covers node-index reuse: indices are only allocated or freed
-   under a [dirty], so a cache can never see a recycled index as the
-   node it once cached. *)
-let dirty t = Phys_mem.bump_pt_epoch t.mem
-
 let prot_index (p : Prot.t) =
   (if p.read then 1 else 0) lor (if p.write then 2 else 0) lor (if p.exec then 4 else 0)
 
@@ -181,7 +168,6 @@ let rec decref ?(count_clears = false) t node =
   end
 
 let destroy t =
-  dirty t;
   Phys_mem.pt_unregister_root t.mem t.root;
   decref ~count_clears:true t t.root
 
@@ -277,8 +263,7 @@ let own_child t node i =
   end
 
 (* [descend] for mutators: a tag-3 crossing takes private ownership of
-   the child first, so structural changes never reach a shared node.
-   Callers have already [dirty]'d the tree. *)
+   the child first, so structural changes never reach a shared node. *)
 let rec descend_owned t node ~va ~target_level ~create_missing =
   let level = Pt_store.level t.store node in
   if level = target_level then node
@@ -302,7 +287,6 @@ let rec descend_owned t node ~va ~target_level ~create_missing =
       end
 
 let map ?(global = false) ?(key = 0) t ~va ~pa ~prot ~size =
-  dirty t;
   check_aligned va size "map";
   check_aligned pa size "map";
   check_key key "map";
@@ -341,7 +325,6 @@ let map ?(global = false) ?(key = 0) t ~va ~pa ~prot ~size =
    loops, CoW ones included, live on this path. *)
 let map_run ?(global = false) ?(key = 0) ?read_only t ~va ~n ~frames ~off ~prot =
   if n > 0 then begin
-    dirty t;
     check_aligned va P4K "map";
     check_key key "map";
     if va < 0 || va + ((n - 1) * Addr.page_size) >= Addr.va_limit then
@@ -400,7 +383,6 @@ let map_run ?(global = false) ?(key = 0) ?read_only t ~va ~n ~frames ~off ~prot 
 
 (* Remove a leaf and prune now-empty exclusively-owned interior tables. *)
 let unmap t ~va ~size =
-  dirty t;
   check_aligned va size "unmap";
   let level = leaf_level size in
   let store = t.store in
@@ -460,120 +442,7 @@ let walk t ~va =
     go t.root 4 1 false
   end
 
-(* ---- Software page-walk cache (a per-core paging-structure cache) ----
-
-   Caches indices of the interior tables (PDPT / PD / PT) that
-   translate the most recent 512 GiB / 1 GiB / 2 MiB span, so a walk
-   with spatial locality descends 1-2 levels instead of 4. Entries are
-   validated against the owning memory's structural epoch; the returned
-   [mapping] (including [levels], which counts the tables the *full*
-   walk would touch) is identical to {!walk}'s because with no
-   structural change the full walk would reach the very same nodes. *)
-
-type walk_cache = {
-  mutable owner : t option; (* physical identity of the cached tree *)
-  mutable wgen : int;
-  mutable base_l1 : int; (* 2 MiB span base; -1 = empty *)
-  mutable node_l1 : int; (* node index; -1 = none *)
-  mutable cow_l1 : bool; (* walk to node crossed a tag-3 entry *)
-  mutable base_l2 : int; (* 1 GiB span base *)
-  mutable node_l2 : int;
-  mutable cow_l2 : bool;
-  mutable base_l3 : int; (* 512 GiB span base *)
-  mutable node_l3 : int;
-  mutable cow_l3 : bool;
-}
-
-let span_l1 = 1 lsl 21
-let span_l2 = 1 lsl 30
-let span_l3 = 1 lsl 39
-
-let walk_cache_create () =
-  {
-    owner = None;
-    wgen = -1;
-    base_l1 = -1;
-    node_l1 = -1;
-    cow_l1 = false;
-    base_l2 = -1;
-    node_l2 = -1;
-    cow_l2 = false;
-    base_l3 = -1;
-    node_l3 = -1;
-    cow_l3 = false;
-  }
-
-let walk_cache_reset wc =
-  wc.owner <- None;
-  wc.wgen <- -1;
-  wc.base_l1 <- -1;
-  wc.node_l1 <- -1;
-  wc.cow_l1 <- false;
-  wc.base_l2 <- -1;
-  wc.node_l2 <- -1;
-  wc.cow_l2 <- false;
-  wc.base_l3 <- -1;
-  wc.node_l3 <- -1;
-  wc.cow_l3 <- false
-
-let rec descend_cached t wc node level levels cow ~va =
-  (* Record the interior nodes we pass — and whether the walk down to
-     them crossed a CoW-shared entry — so the next walk can resume
-     deeper without forgetting cow-ness. Skip the store when the span
-     is already recorded (same epoch => it is necessarily the same
-     node, reached the same way). *)
-  (match level with
-  | 3 ->
-    let b = va land lnot (span_l3 - 1) in
-    if wc.base_l3 <> b then begin
-      wc.base_l3 <- b;
-      wc.node_l3 <- node;
-      wc.cow_l3 <- cow
-    end
-  | 2 ->
-    let b = va land lnot (span_l2 - 1) in
-    if wc.base_l2 <> b then begin
-      wc.base_l2 <- b;
-      wc.node_l2 <- node;
-      wc.cow_l2 <- cow
-    end
-  | 1 ->
-    let b = va land lnot (span_l1 - 1) in
-    if wc.base_l1 <> b then begin
-      wc.base_l1 <- b;
-      wc.node_l1 <- node;
-      wc.cow_l1 <- cow
-    end
-  | _ -> ());
-  let e = Pt_store.get t.store node (index_at ~level va) in
-  match e land 3 with
-  | 1 -> descend_cached t wc (e lsr 2) (level - 1) (levels + 1) cow ~va
-  | 3 -> descend_cached t wc (e lsr 2) (level - 1) (levels + 1) true ~va
-  | 2 -> Some (mapping_of_leaf e ~levels ~cow)
-  | _ -> None
-
-let walk_cached t wc ~va =
-  if va < 0 || va >= Addr.va_limit then None
-  else begin
-    (match wc.owner with
-    | Some o when o == t && wc.wgen = Phys_mem.pt_epoch t.mem -> ()
-    | _ ->
-      walk_cache_reset wc;
-      wc.owner <- Some t;
-      wc.wgen <- Phys_mem.pt_epoch t.mem);
-    (* Resume from the deepest cached node covering [va]; a node at
-       level L is reached by the full walk with [levels] = 5 - L. *)
-    if wc.node_l1 >= 0 && wc.base_l1 = va land lnot (span_l1 - 1) then
-      descend_cached t wc wc.node_l1 1 4 wc.cow_l1 ~va
-    else if wc.node_l2 >= 0 && wc.base_l2 = va land lnot (span_l2 - 1) then
-      descend_cached t wc wc.node_l2 2 3 wc.cow_l2 ~va
-    else if wc.node_l3 >= 0 && wc.base_l3 = va land lnot (span_l3 - 1) then
-      descend_cached t wc wc.node_l3 3 2 wc.cow_l3 ~va
-    else descend_cached t wc t.root 4 1 false ~va
-  end
-
 let protect t ~va ~size ~prot =
-  dirty t;
   check_aligned va size "protect";
   let level = leaf_level size in
   let node = descend_owned t t.root ~va ~target_level:level ~create_missing:false in
@@ -624,7 +493,6 @@ let write_protect_run t ~va ~n =
       if node = -2 then begin
         (* The per-page loop's [protect] takes ownership down to the
            larger leaf and raises there; so does this. *)
-        dirty t;
         ignore (descend_owned t t.root ~va:va_i ~target_level:1 ~create_missing:false)
       end
       else if node >= 0 then begin
@@ -633,7 +501,6 @@ let write_protect_run t ~va ~n =
           let e = Pt_store.get store (if !owned >= 0 then !owned else node) s in
           if e land 3 = 2 && e land write_bit <> 0 then begin
             if !owned < 0 then begin
-              dirty t;
               owned :=
                 descend_owned t t.root
                   ~va:(va_i + ((s - slot0) * Addr.page_size))
@@ -652,7 +519,6 @@ let write_protect_run t ~va ~n =
    bits (7..10), so protections, page size and the global bit survive —
    and, like [protect], counts one PTE write. *)
 let set_key t ~va ~size ~key =
-  dirty t;
   check_aligned va size "set_key";
   check_key key "set_key";
   let level = leaf_level size in
@@ -703,7 +569,6 @@ let extract_subtree t ~va ~level =
   end
 
 let graft_subtree t ~va (sub : subtree) =
-  dirty t;
   let span = span_of_level sub.s_level in
   if va land (span - 1) <> 0 then
     invalid_arg "Page_table.graft_subtree: address not aligned to subtree span";
@@ -719,7 +584,6 @@ let graft_subtree t ~va (sub : subtree) =
   else invalid_arg "Page_table.graft_subtree: slot occupied"
 
 let prune_subtree t ~va ~level =
-  dirty t;
   (* The detached subtree may survive (shared refs), so the free count
      alone cannot witness that the memoized table left this tree. *)
   t.memo_block <- -1;
@@ -767,7 +631,6 @@ let entries_mapped t = count_leaves t t.root
    charge is one PTE write per slot written (clone) or retagged
    (source); no table is copied, which is the whole point. *)
 let clone_cow ?(share = fun _ -> true) t =
-  dirty t;
   (* The memo'd level-1 table is inside a now-shared subtree: a map
      through it would mutate the whole family. Retagging frees nothing,
      so the free-count check alone would not catch this. *)
@@ -798,7 +661,6 @@ let clone_cow ?(share = fun _ -> true) t =
    frame allocation and byte copying — this is only the PTE surgery,
    charged at one PTE write per entry touched. *)
 let break_cow t ~va ~pa =
-  dirty t;
   t.memo_block <- -1;
   let store = t.store in
   let rec go node =

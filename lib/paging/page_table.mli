@@ -96,26 +96,6 @@ val unmap : t -> va:int -> size:page_size -> unit
 val walk : t -> va:int -> mapping option
 (** Software page walk. [None] = page fault. *)
 
-(** {2 Page-walk caching}
-
-    A host-side analogue of the paging-structure caches real MMUs keep:
-    pointers to the interior tables translating the most recent
-    512 GiB / 1 GiB / 2 MiB spans, validated against a global
-    structural-change epoch (any [map]/[unmap]/[protect]/graft/prune/
-    [destroy] on any table invalidates every cache, which keeps shared
-    subtrees sound). Results are bit-identical to {!walk}. *)
-
-type walk_cache
-
-val walk_cache_create : unit -> walk_cache
-val walk_cache_reset : walk_cache -> unit
-
-val walk_cached : t -> walk_cache -> va:int -> mapping option
-(** Same result as [walk t ~va] (including [mapping.levels], which
-    counts the tables a full walk would touch), but descends from the
-    deepest still-valid cached node — 1-2 levels instead of 4 on
-    locality-heavy access patterns. *)
-
 val protect : t -> va:int -> size:page_size -> prot:Prot.t -> unit
 (** Change the protections of an existing mapping (key tag preserved). *)
 

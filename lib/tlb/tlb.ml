@@ -31,40 +31,18 @@ type entry = {
   mutable last_use : int;
 }
 
-(* Host-side MRU fast path, one slot per (low bits of) ASID tag so the
-   cache stays warm across vas_switch: switching A -> B -> A finds A's
-   record intact as long as the arrays it depends on are unchanged.
-   Validation is per-set generation stamps rather than one global
-   counter — a fill or flush in set S only invalidates records whose
-   scan consulted S, so unrelated traffic (including the other tag's
-   fills) no longer evicts a warm record. A record of a 2 MiB hit also
-   stamps the 2 MiB array: its scan proved a 4 KiB-set miss *and* a
-   2 MiB hit, so both must be unchanged for a replay to be exact. *)
-type mru_slot = {
-  mutable m_tag : int; (* -1 = empty *)
-  mutable m_vbase : int; (* 4 KiB base of the access that recorded it *)
-  mutable m_size : Page_table.page_size;
-  mutable m_entry : entry;
-  mutable m_set : int; (* 4 KiB set index of m_vbase *)
-  mutable m_set_gen : int;
-  mutable m_2m_gen : int; (* only checked when m_size = P2M *)
-}
-
-let mru_slots = 64 (* power of two; slot = tag land (mru_slots - 1) *)
-
 type t = {
   cfg : config;
   array_4k : entry array array; (* [set].[way] *)
   array_2m : entry array;
   stats : stats;
   mutable clock : int;
-  (* Per-set generation stamps (see [mru_slot]) and per-set counts of
-     valid entries. The counts let flushes skip provably empty sets, so
-     a flush costs O(resident entries), not O(capacity) — the dominant
-     host cost of switch-heavy workloads (every untagged vas_switch is
-     a flush_nonglobal over all sets). Stats are unaffected: a skipped
-     set contributes zero flushed entries either way. *)
-  set_gens : int array;
+  (* Per-set counts of valid entries. They let flushes skip provably
+     empty sets, so a flush costs O(resident entries), not O(capacity) —
+     the dominant host cost of switch-heavy workloads (every untagged
+     vas_switch is a flush_nonglobal over all sets). Stats are
+     unaffected: a skipped set contributes zero flushed entries either
+     way. *)
   valid_4k : int array;
   (* Worklist of 4 KiB set indices that *may* hold valid entries: every
      set whose count went 0 -> 1 is pushed, and flushes visit only the
@@ -78,9 +56,7 @@ type t = {
   occ : int array;
   mutable n_occ : int;
   mutable occ_overflow : bool;
-  mutable gen_2m : int;
   mutable valid_2m : int;
-  mru : mru_slot array;
   (* Observability hook, installed by Machine.create when tracing is on;
      called once per flush operation with the flush kind and the number
      of entries invalidated. None (the default) costs one test per
@@ -103,17 +79,6 @@ let fresh_entry () =
 let fresh_stats () =
   { hits = 0; misses = 0; insertions = 0; evictions = 0; flushes = 0; flushed_entries = 0 }
 
-let fresh_slot () =
-  {
-    m_tag = -1;
-    m_vbase = -1;
-    m_size = Page_table.P4K;
-    m_entry = fresh_entry ();
-    m_set = 0;
-    m_set_gen = -1;
-    m_2m_gen = -1;
-  }
-
 (* 4 KiB set rows are allocated on first insert; untouched sets share
    this sentinel (tested by physical equality). [probe_set] and
    [kill_where] treat the empty row as what it is — a set with no
@@ -130,14 +95,11 @@ let create cfg =
     array_2m = Array.init cfg.entries_2m (fun _ -> fresh_entry ());
     stats = fresh_stats ();
     clock = 0;
-    set_gens = Array.make cfg.sets_4k 0;
     valid_4k = Array.make cfg.sets_4k 0;
     occ = Array.make cfg.sets_4k 0;
     n_occ = 0;
     occ_overflow = false;
-    gen_2m = 0;
     valid_2m = 0;
-    mru = Array.init mru_slots (fun _ -> fresh_slot ());
     obs = None;
   }
 
@@ -172,12 +134,6 @@ let base_4k va = Size.round_down va ~align:Addr.page_size
 let base_2m va = Size.round_down va ~align:(Size.mib 2)
 
 let entry_matches e ~tag ~vbase = e.valid && e.vbase = vbase && (e.global || e.tag = tag)
-
-(* Sentinel results of [translate_probe]; PAs are non-negative, so
-   these cannot collide with a real translation. *)
-let missed = -1
-let prot_failed = -2
-let key_failed = -3
 
 (* Way index of the matching entry, or -1. A direct indexed loop so the
    hot paths (lookup, insert refresh) allocate nothing. *)
@@ -227,105 +183,6 @@ let lookup t ~tag ~va =
     else begin
       t.stats.misses <- t.stats.misses + 1;
       None
-    end
-  end
-
-(* A slot replay is exact when the arrays its recording scan consulted
-   are unchanged: for a 4 KiB hit that is just the home set (the scan
-   stopped there); for a 2 MiB hit it is the home set (which missed)
-   plus the 2 MiB array (which hit). The slot's entry is then provably
-   the entry a full scan would return right now. *)
-let slot_matches t s ~tag ~vbase =
-  s.m_tag = tag && s.m_vbase = vbase
-  && s.m_set_gen = Array.unsafe_get t.set_gens s.m_set
-  && (match s.m_size with
-     | Page_table.P4K -> true
-     | Page_table.P2M -> s.m_2m_gen = t.gen_2m)
-
-let record_mru t ~tag ~vbase e size ~set_idx =
-  let s = Array.unsafe_get t.mru (tag land (mru_slots - 1)) in
-  s.m_tag <- tag;
-  s.m_vbase <- vbase;
-  s.m_size <- size;
-  s.m_entry <- e;
-  s.m_set <- set_idx;
-  s.m_set_gen <- Array.unsafe_get t.set_gens set_idx;
-  s.m_2m_gen <- t.gen_2m
-
-let lookup_fast t ~tag ~va =
-  let vbase = base_4k va in
-  let s = Array.unsafe_get t.mru (tag land (mru_slots - 1)) in
-  if slot_matches t s ~tag ~vbase then begin
-    let e = s.m_entry in
-    hit_entry t e;
-    Some { pa = e.pa + (va - e.vbase); prot = e.prot; key = e.key; size = s.m_size }
-  end
-  else begin
-    let set_idx = set_of_4k t va in
-    let set = t.array_4k.(set_idx) in
-    let i4 = probe_set set ~tag ~vbase in
-    if i4 >= 0 then begin
-      let e = set.(i4) in
-      hit_entry t e;
-      record_mru t ~tag ~vbase e Page_table.P4K ~set_idx;
-      Some { pa = e.pa + (va - e.vbase); prot = e.prot; key = e.key; size = Page_table.P4K }
-    end
-    else begin
-      let i2 = probe_set t.array_2m ~tag ~vbase:(base_2m va) in
-      if i2 >= 0 then begin
-        let e = t.array_2m.(i2) in
-        hit_entry t e;
-        record_mru t ~tag ~vbase e Page_table.P2M ~set_idx;
-        Some { pa = e.pa + (va - e.vbase); prot = e.prot; key = e.key; size = Page_table.P2M }
-      end
-      else begin
-        t.stats.misses <- t.stats.misses + 1;
-        None
-      end
-    end
-  end
-
-(* Protection check folded in so the machine's hot path needs no [hit]
-   record, no option, and no closure. The key check runs after the
-   paging check, against the *caller's current* register — the entry
-   contributes only its key tag, so a warm entry faults or passes
-   exactly as a fresh walk of the same PTE would under that register. *)
-let checked_pa ~pkru ~write ~va e =
-  if if write then e.prot.Prot.write else e.prot.Prot.read then
-    if e.key = 0 || Pkey.allows pkru ~key:e.key ~write then e.pa + (va - e.vbase)
-    else key_failed
-  else prot_failed
-
-let translate_probe t ~tag ~pkru ~va ~write =
-  let vbase = base_4k va in
-  let s = Array.unsafe_get t.mru (tag land (mru_slots - 1)) in
-  if slot_matches t s ~tag ~vbase then begin
-    let e = s.m_entry in
-    hit_entry t e;
-    checked_pa ~pkru ~write ~va e
-  end
-  else begin
-    let set_idx = set_of_4k t va in
-    let set = t.array_4k.(set_idx) in
-    let i4 = probe_set set ~tag ~vbase in
-    if i4 >= 0 then begin
-      let e = set.(i4) in
-      hit_entry t e;
-      record_mru t ~tag ~vbase e Page_table.P4K ~set_idx;
-      checked_pa ~pkru ~write ~va e
-    end
-    else begin
-      let i2 = probe_set t.array_2m ~tag ~vbase:(base_2m va) in
-      if i2 >= 0 then begin
-        let e = t.array_2m.(i2) in
-        hit_entry t e;
-        record_mru t ~tag ~vbase e Page_table.P2M ~set_idx;
-        checked_pa ~pkru ~write ~va e
-      end
-      else begin
-        t.stats.misses <- t.stats.misses + 1;
-        missed
-      end
     end
   end
 
@@ -382,7 +239,6 @@ let insert ?(key = 0) t ~tag ~va ~pa ~prot ~size ~global =
       if t.valid_4k.(set_idx) = 0 then note_occupied t set_idx;
       t.valid_4k.(set_idx) <- t.valid_4k.(set_idx) + 1
     end;
-    t.set_gens.(set_idx) <- t.set_gens.(set_idx) + 1;
     fill t e ~tag ~vbase ~pa ~prot ~key ~global
   | Page_table.P2M ->
     let vbase = base_2m va in
@@ -390,7 +246,6 @@ let insert ?(key = 0) t ~tag ~va ~pa ~prot ~size ~global =
     let i = probe_exact t.array_2m ~tag ~vbase ~global in
     let e = if i >= 0 then t.array_2m.(i) else victim t t.array_2m in
     if not e.valid then t.valid_2m <- t.valid_2m + 1;
-    t.gen_2m <- t.gen_2m + 1;
     fill t e ~tag ~vbase ~pa ~prot ~key ~global
 
 let iter_entries t f =
@@ -398,7 +253,7 @@ let iter_entries t f =
   Array.iter f t.array_2m
 
 (* Kill matching entries in one entry array; returns the kill count.
-   Callers decide which count/gen to charge it to. *)
+   Callers decide which count to charge it to. *)
 let kill_where entries pred =
   let killed = ref 0 in
   Array.iter
@@ -415,17 +270,14 @@ let flush_where t pred =
   let n = ref 0 in
   (* Visit only sets that may hold valid entries (the occupancy
      worklist; all sets on overflow). Sets with a zero count are
-     skipped outright; sets where nothing matched keep their
-     generation, so MRU records over them stay warm — in both cases
-     the observable effect (zero entries dropped) is what the full
-     scan would have produced. Survivors are compacted back into the
-     worklist. *)
+     skipped outright — the observable effect (zero entries dropped) is
+     what the full scan would have produced. Survivors are compacted
+     back into the worklist. *)
   let visit si kept =
     if t.valid_4k.(si) > 0 then begin
       let killed = kill_where t.array_4k.(si) pred in
       if killed > 0 then begin
         t.valid_4k.(si) <- t.valid_4k.(si) - killed;
-        t.set_gens.(si) <- t.set_gens.(si) + 1;
         n := !n + killed
       end;
       if t.valid_4k.(si) > 0 then begin
@@ -452,7 +304,6 @@ let flush_where t pred =
     let killed = kill_where t.array_2m pred in
     if killed > 0 then begin
       t.valid_2m <- t.valid_2m - killed;
-      t.gen_2m <- t.gen_2m + 1;
       n := !n + killed
     end
   end;
@@ -484,7 +335,6 @@ let invalidate_page t ~va =
       let killed = kill_where t.array_4k.(si) pred in
       if killed > 0 then begin
         t.valid_4k.(si) <- t.valid_4k.(si) - killed;
-        t.set_gens.(si) <- t.set_gens.(si) + 1;
         n := !n + killed
       end
     end
@@ -497,7 +347,6 @@ let invalidate_page t ~va =
     let killed = kill_where t.array_2m pred in
     if killed > 0 then begin
       t.valid_2m <- t.valid_2m - killed;
-      t.gen_2m <- t.gen_2m + 1;
       n := !n + killed
     end
   end;

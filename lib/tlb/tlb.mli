@@ -51,39 +51,8 @@ val stats : t -> stats
 val reset_stats : t -> unit
 val max_tag : t -> int
 
-val missed : int
-(** {!translate_probe} sentinel: TLB miss (-1). *)
-
-val prot_failed : int
-(** {!translate_probe} sentinel: paging protections deny (-2). *)
-
-val key_failed : int
-(** {!translate_probe} sentinel: protection-key register denies (-3). *)
-
 val lookup : t -> tag:int -> va:int -> hit option
 (** Probe under ASID [tag]. Global entries hit regardless of tag. *)
-
-val lookup_fast : t -> tag:int -> va:int -> hit option
-(** Observably identical to {!lookup} (same result, same stats, same
-    LRU updates) but consults a host-side per-tag MRU cache keyed on
-    [(tag, 4 KiB page)] before scanning the arrays. Records survive
-    [vas_switch]: each tag has its own slot, and validity is stamped
-    against the generation of exactly the sets the recording scan
-    consulted, so fills and flushes that touch other sets (including
-    another address space's traffic) leave the record warm. A hit is
-    provably the entry the full scan would have found. *)
-
-val translate_probe : t -> tag:int -> pkru:Sj_paging.Pkey.reg -> va:int -> write:bool -> int
-(** Allocation-free variant of {!lookup_fast} for the machine's hot
-    path: returns the translated physical address with the protection
-    and protection-key checks folded in, [-1] on a TLB miss, [-2] when
-    the resident entry's paging protections forbid the access ([write]
-    selects which permission is required), or [-3] when the paging
-    protections admit it but [pkru] denies the entry's key. The key
-    check always consults the *current* [pkru] — entries cache only the
-    key tag — so a warm hit after a pkey switch faults or passes
-    exactly like a fresh walk, with no flush. Stats and LRU effects are
-    identical to {!lookup}. *)
 
 val insert :
   ?key:int ->

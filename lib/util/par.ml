@@ -3,9 +3,7 @@
    one batch in flight at a time, results delivered in task order. *)
 
 type batch = {
-  run_task : worker:int -> int -> unit;
-  (* claims results/exception storage itself; [worker] is the pool slot
-     executing the task (0 = the submitting thread) *)
+  run_task : int -> unit; (* stores the task's result or exception itself *)
   n : int;
   mutable next : int; (* next unclaimed task index *)
   mutable completed : int;
@@ -25,7 +23,7 @@ let default_size () = max 1 (Domain.recommended_domain_count ())
 
 (* Claim and run tasks until the current batch is drained. Caller must
    NOT hold the lock. *)
-let drain t ~worker b =
+let drain t b =
   let continue_ = ref true in
   while !continue_ do
     Mutex.lock t.m;
@@ -37,7 +35,7 @@ let drain t ~worker b =
       let i = b.next in
       b.next <- i + 1;
       Mutex.unlock t.m;
-      b.run_task ~worker i;
+      b.run_task i;
       Mutex.lock t.m;
       b.completed <- b.completed + 1;
       if b.completed = b.n then Condition.broadcast t.finished;
@@ -45,7 +43,7 @@ let drain t ~worker b =
     end
   done
 
-let worker_loop t ~worker () =
+let worker_loop t () =
   let running = ref true in
   while !running do
     Mutex.lock t.m;
@@ -62,7 +60,7 @@ let worker_loop t ~worker () =
     else begin
       let b = match t.batch with Some b -> b | None -> assert false in
       Mutex.unlock t.m;
-      drain t ~worker b
+      drain t b
     end
   done
 
@@ -79,34 +77,28 @@ let create ?size () =
       size;
     }
   in
-  (* The submitting thread participates in every batch as worker 0, so
-     a pool of size [n] spawns [n - 1] worker domains (slots 1..n-1);
-     size 1 runs fully inline (no domains, bit-identical scheduling to
-     plain serial code). *)
-  t.workers <-
-    Array.init (size - 1) (fun i -> Domain.spawn (worker_loop t ~worker:(i + 1)));
+  (* The submitting thread participates in every batch, so a pool of
+     size [n] spawns [n - 1] worker domains; size 1 runs fully inline
+     (no domains, bit-identical scheduling to plain serial code). *)
+  t.workers <- Array.init (size - 1) (fun _ -> Domain.spawn (worker_loop t));
   t
 
 let size t = t.size
 
 exception Task_error of int * exn
 
-let run_placed : 'a. t -> (unit -> 'a) array -> 'a array * int array =
+let run : 'a. t -> (unit -> 'a) array -> 'a array =
  fun t tasks ->
   let n = Array.length tasks in
-  if n = 0 then ([||], [||])
+  if n = 0 then [||]
   else begin
     let results : ('a, exn) result option array = Array.make n None in
-    let placement = Array.make n 0 in
-    let run_task ~worker i =
-      placement.(i) <- worker;
-      results.(i) <- Some (try Ok (tasks.(i) ()) with e -> Error e)
-    in
+    let run_task i = results.(i) <- Some (try Ok (tasks.(i) ()) with e -> Error e) in
     if Array.length t.workers = 0 then
       (* Inline serial execution: same task order as submission, every
-         task on the submitting thread (slot 0). *)
+         task on the submitting thread. *)
       for i = 0 to n - 1 do
-        run_task ~worker:0 i
+        run_task i
       done
     else begin
       let b = { run_task; n; next = 0; completed = 0 } in
@@ -120,7 +112,7 @@ let run_placed : 'a. t -> (unit -> 'a) array -> 'a array * int array =
       Condition.broadcast t.work;
       Mutex.unlock t.m;
       (* Participate, then wait for workers still finishing tasks. *)
-      drain t ~worker:0 b;
+      drain t b;
       Mutex.lock t.m;
       while b.completed < b.n do
         Condition.wait t.finished t.m
@@ -130,17 +122,14 @@ let run_placed : 'a. t -> (unit -> 'a) array -> 'a array * int array =
     end;
     (* Deterministic result order regardless of which domain ran what;
        the lowest-index failure wins, as it would serially. *)
-    ( Array.mapi
-        (fun i r ->
-          match r with
-          | Some (Ok v) -> v
-          | Some (Error e) -> raise (Task_error (i, e))
-          | None -> assert false)
-        results,
-      placement )
+    Array.mapi
+      (fun i r ->
+        match r with
+        | Some (Ok v) -> v
+        | Some (Error e) -> raise (Task_error (i, e))
+        | None -> assert false)
+      results
   end
-
-let run t tasks = fst (run_placed t tasks)
 
 let map t f xs = run t (Array.map (fun x () -> f x) xs)
 

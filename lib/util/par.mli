@@ -8,10 +8,7 @@
     Tasks must be *isolated*: each one should build its own machines,
     RNGs and contexts, and must not touch another task's mutable state
     (HACKING.md, "Domain safety"). Results come back in task order, so
-    output is deterministic no matter which domain ran which task.
-
-    Note that [Machine.with_fast_path] is domain-local: a task that
-    must run with a specific fast-path mode wraps itself in it. *)
+    output is deterministic no matter which domain ran which task. *)
 
 type t
 
@@ -33,15 +30,6 @@ val size : t -> int
 val run : t -> (unit -> 'a) array -> 'a array
 (** Run every task, returning results in task order. Not reentrant:
     one batch at a time per pool, submitted from one thread. *)
-
-val run_placed : t -> (unit -> 'a) array -> 'a array * int array
-(** Like {!run}, but also reports placement: the second array gives,
-    per task, the pool slot that executed it (0 = the submitting
-    thread, 1..size-1 the worker domains). Placement is a host
-    scheduling artifact — it may differ between identical runs and
-    must never feed back into simulated results; the bench report
-    records it so a report reader can see how the batch actually
-    spread. *)
 
 val map : t -> ('a -> 'b) -> 'a array -> 'b array
 val map_list : t -> ('a -> 'b) -> 'a list -> 'b list

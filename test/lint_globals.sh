@@ -10,8 +10,8 @@
 # Deliberately NOT flagged: top-level `Mutex.create` and
 # `Domain.DLS.new_key` — those are the domain-safety tools themselves.
 # lib/obs is covered like everything else: recorders hang off a
-# Sim_ctx and the only ambient state is the Domain.DLS tracing default
-# (mirroring Machine.with_fast_path). No allowlist entries for it.
+# Sim_ctx and the only ambient state is the Domain.DLS tracing default.
+# No allowlist entries for it.
 #
 # Allowlist (keep it at <= 2 entries; see HACKING.md before adding):
 #   lib/util/rng.ml        zipf_tables — memo cache of harmonic tables;

@@ -139,6 +139,33 @@ let test_physical_exhaustion_is_capacity () =
        false
      with Error.Fault { code = Capacity; op = "seg_alloc"; _ } -> true)
 
+(* A taken name is refused before the segment takes any frame. *)
+let test_taken_name_takes_no_frame () =
+  let m, _, ctx = boot Sj_abi.Sys.Dragonfly in
+  let mem = Machine.mem m in
+  (match C.seg_alloc_anywhere ctx ~name:"dup" ~size:(Size.mib 4) ~mode:0o600 with
+  | Ok _ -> ()
+  | Error f -> Alcotest.failf "first \"dup\": %s" (Error.to_string f));
+  let before = Sj_mem.Phys_mem.frames_allocated mem in
+  check_code "second \"dup\"" Error.Name_exists
+    (C.seg_alloc_anywhere ctx ~name:"dup" ~size:(Size.mib 4) ~mode:0o600);
+  Alcotest.(check int) "refusal takes no frame" before (Sj_mem.Phys_mem.frames_allocated mem)
+
+(* A refused allocation leaves the global layout cursor where it was,
+   so the next segment still gets the first 1 GiB slot. *)
+let test_refusal_keeps_layout_slot () =
+  let small = { tiny with Platform.name = "small"; mem_size = Size.mib 64 } in
+  let m = Machine.create small in
+  let sys = Api.boot m in
+  let ctx = Api.context sys (Process.create ~name:"hog" m) (Machine.core m 0) in
+  let sim = Machine.sim_ctx m in
+  check_code "128 MiB on a 64 MiB machine" Error.Capacity
+    (C.seg_alloc_anywhere ctx ~name:"huge" ~size:(Size.mib 128) ~mode:0o600);
+  Alcotest.(check int) "layout offset after the refusal" 0 (Sim_ctx.layout_offset sim);
+  match C.seg_alloc_anywhere ctx ~name:"fits" ~size:(Size.mib 1) ~mode:0o600 with
+  | Ok seg -> Alcotest.(check int) "first slot" Layout.global_base (Segment.base seg)
+  | Error f -> Alcotest.failf "1 MiB after the refusal: %s" (Error.to_string f)
+
 let test_counters_track_calls_and_cycles () =
   let measure backend =
     let _, sys, ctx = boot backend in
@@ -208,4 +235,6 @@ let suite =
     Alcotest.test_case "exit codes distinct" `Quick test_exit_codes_distinct;
     Alcotest.test_case "physical exhaustion is a Capacity fault" `Quick
       test_physical_exhaustion_is_capacity;
+    Alcotest.test_case "taken name takes no frame" `Quick test_taken_name_takes_no_frame;
+    Alcotest.test_case "refusal keeps the layout slot" `Quick test_refusal_keeps_layout_slot;
   ]

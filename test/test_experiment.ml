@@ -8,12 +8,11 @@
      rule, changes the schema, truncates the text or strips its commas
      is rejected.
    - Committed reports: every BENCH_*.json at the repository root
-     passes its spec's checker, so a hand-edited or stale report fails
-     here. *)
+     passes its spec's checker and records the runner's standard audit
+     battery, so a hand-edited or stale report fails here. *)
 
 module Json = Sj_util.Json
 module Experiment = Sj_bench.Experiment
-module Report = Sj_bench.Report
 
 (* -- refusal --------------------------------------------------------- *)
 
@@ -133,11 +132,6 @@ let spec_case name =
     (checker_no_weaker ~check:(Experiment.check_string spec) ~rules:(Experiment.rules spec)
        ~claims:(Experiment.claim_names spec) (Experiment.out_path spec))
 
-let fastpath_case =
-  Alcotest.test_case "checker rejects mutants: fastpath" `Quick
-    (checker_no_weaker ~check:Report.check_string ~rules:Report.rules ~claims:[]
-       "BENCH_fastpath.json")
-
 (* An explore report that faithfully records a reproduced violation is
    valid; the same violation marked unreproduced is not. *)
 let test_explore_violations () =
@@ -167,37 +161,53 @@ let test_committed_reports () =
     |> List.filter (fun f -> String.starts_with ~prefix:"BENCH_" f && Filename.check_suffix f ".json")
     |> List.sort compare
   in
-  Alcotest.(check bool) "reports found" true (List.length files >= 5);
+  Alcotest.(check bool) "reports found" true (List.length files >= 4);
+  let strings = function
+    | Some (Json.Arr xs) -> List.filter_map (function Json.Str s -> Some s | _ -> None) xs
+    | _ -> []
+  in
+  let rec starts_with prefix xs =
+    match (prefix, xs) with
+    | [], _ -> true
+    | p :: ps, x :: xs -> p = x && starts_with ps xs
+    | _ :: _, [] -> false
+  in
   List.iter
     (fun f ->
       let path = Filename.concat ".." f in
       let verdict =
-        if f = "BENCH_fastpath.json" then Report.check_file path
-        else
-          match List.find_opt (fun s -> Experiment.out_path s = f) Sj_experiments.all with
-          | Some spec -> (
-            match Experiment.check_file spec path with
-            | Error _ as e -> e
-            | Ok () ->
-              (* The checker proves every claim the spec registers is
-                 recorded true; the converse catches a claim dropped
-                 from the spec while the committed report still makes
-                 it. *)
-              let recorded =
-                match Result.map (Json.member "claims") (Json.read_file path) with
-                | Ok (Some (Obj kv)) -> List.map fst kv
-                | _ -> []
-              in
-              if List.sort compare recorded = List.sort compare (Experiment.claim_names spec)
-              then Ok ()
-              else
-                Error
-                  [
-                    Printf.sprintf "claims recorded [%s] but the spec registers [%s]"
-                      (String.concat "," recorded)
-                      (String.concat "," (Experiment.claim_names spec));
-                  ])
-          | None -> Error [ "no experiment writes " ^ f ]
+        match List.find_opt (fun s -> Experiment.out_path s = f) Sj_experiments.all with
+        | Some spec -> (
+          match (Experiment.check_file spec path, Json.read_file path) with
+          | (Error _ as e), _ -> e
+          | Ok (), Error e -> Error [ e ]
+          | Ok (), Ok v ->
+            (* The checker proves every claim the spec registers is
+               recorded true; the converse catches a claim dropped
+               from the spec while the committed report still makes
+               it. A report written before the standard battery
+               changed does not record it, so it is stale. *)
+            let recorded =
+              match Json.member "claims" v with Some (Obj kv) -> List.map fst kv | _ -> []
+            in
+            let audits = strings (Option.bind (Json.member "determinism" v) (Json.member "audits")) in
+            if List.sort compare recorded <> List.sort compare (Experiment.claim_names spec)
+            then
+              Error
+                [
+                  Printf.sprintf "claims recorded [%s] but the spec registers [%s]"
+                    (String.concat "," recorded)
+                    (String.concat "," (Experiment.claim_names spec));
+                ]
+            else if not (starts_with Experiment.standard_audits audits) then
+              Error
+                [
+                  Printf.sprintf "audits recorded [%s] do not start with the standard battery [%s]"
+                    (String.concat "," audits)
+                    (String.concat "," Experiment.standard_audits);
+                ]
+            else Ok ())
+        | None -> Error [ "no experiment writes " ^ f ]
       in
       match verdict with
       | Ok () -> ()
@@ -212,7 +222,6 @@ let suite =
   ]
   @ List.map spec_case [ "cluster"; "compartments"; "explore"; "fork" ]
   @ [
-      fastpath_case;
       Alcotest.test_case "explore report keeps reproduced violations" `Quick test_explore_violations;
       Alcotest.test_case "committed reports pass their checkers" `Quick test_committed_reports;
     ]

@@ -362,14 +362,7 @@ let test_empty_fork_identity () =
     | Some expected -> Alcotest.(check string) (label ^ " matches the PR 9 baseline") expected got
     | None -> Alcotest.failf "no stored baseline for %s" label
   in
-  (* The fastpath suite, both host modes (each must match the same
-     stored line — slow/fast identity is part of the contract). *)
-  List.iter
-    (fun fast ->
-      List.iter
-        (fun t -> check ("fastpath " ^ t.Sj_bench.Suite.tname) (fpl t.Sj_bench.Suite.fp))
-        (Sj_bench.Suite.run_serial ~fast (Sj_bench.Suite.tiny_suite ())))
-    [ false; true ];
+  List.iter (fun (name, fp) -> check ("fastpath " ^ name) (fpl fp)) (Workloads.run_all ());
   let tiny =
     {
       Sj_cluster.Cluster.default with

@@ -169,6 +169,121 @@ let test_numa_remote_dearer () =
   let remote_cost = Core.cycles core - t1 in
   Alcotest.(check bool) "remote > local" true (remote_cost > local_cost)
 
+(* Bulk data that crosses page boundaries lands byte for byte: one
+   translation per page run, the data split between them. *)
+let test_page_crossing_bulk () =
+  let _, _, core = setup () in
+  let va = 0x10000 + Addr.page_size - 100 in
+  let data = Bytes.init 300 (fun i -> Char.chr ((i * 31) land 0xff)) in
+  Core.store_bytes core ~va data;
+  Alcotest.(check string) "store/load across a page" (Bytes.to_string data)
+    (Bytes.to_string (Core.load_bytes core ~va ~len:300));
+  Core.memset core ~va:(0x11000 - 7) ~len:20 '\xab';
+  Alcotest.(check string) "memset across a page" (String.make 20 '\xab')
+    (Bytes.to_string (Core.load_bytes core ~va:(0x11000 - 7) ~len:20));
+  Alcotest.(check int) "byte before the memset" (Char.code (Bytes.get data 92))
+    (Core.load8 core ~va:(0x11000 - 8));
+  Alcotest.(check int) "one translation per page" 2 (Core.tlb_misses core)
+
+(* memcpy copies through a 4 KiB bounce buffer, one chunk at a time:
+   each chunk behaves like memmove, but a later chunk reads source bytes
+   an earlier chunk already overwrote. *)
+let test_overlapping_memcpy () =
+  let _, _, core = setup () in
+  let base = 0x14000 in
+  let init = Bytes.init 9000 (fun i -> Char.chr ((i * 7) land 0xff)) in
+  Core.store_bytes core ~va:base init;
+  let model = Bytes.copy init in
+  let copy ~dst ~src ~len =
+    Core.memcpy core ~dst:(base + dst) ~src:(base + src) ~len;
+    let pos = ref 0 in
+    while !pos < len do
+      let n = min 4096 (len - !pos) in
+      Bytes.blit model (src + !pos) model (dst + !pos) n;
+      pos := !pos + n
+    done
+  in
+  copy ~dst:100 ~src:0 ~len:8192;
+  Alcotest.(check string) "forward overlap across chunks" (Bytes.to_string model)
+    (Bytes.to_string (Core.load_bytes core ~va:base ~len:9000));
+  copy ~dst:0 ~src:50 ~len:5000;
+  Alcotest.(check string) "backward overlap" (Bytes.to_string model)
+    (Bytes.to_string (Core.load_bytes core ~va:base ~len:9000))
+
+(* A 2 MiB leaf translates every offset inside it with one TLB entry. *)
+let test_huge_page () =
+  let m, pt, core = setup () in
+  let mem = Machine.mem m in
+  let frames = Pm.alloc_frames_contiguous ~align:512 mem ~n:512 in
+  let pa = Pm.base_of_frame frames.(0) and va = 0x8000_0000 in
+  Page_table.map pt ~va ~pa ~prot:Prot.rw ~size:Page_table.P2M;
+  Core.store8 core ~va:(va + 123456) 0x5a;
+  Alcotest.(check int) "data at the physical offset" 0x5a (Pm.read8 mem ~pa:(pa + 123456));
+  let misses = Core.tlb_misses core in
+  Alcotest.(check int) "load back" 0x5a (Core.load8 core ~va:(va + 123456));
+  Alcotest.(check int) "last byte" 0 (Core.load8 core ~va:(va + Size.mib 2 - 1));
+  Alcotest.(check int) "no further misses inside the leaf" misses (Core.tlb_misses core)
+
+(* A read-only mapping admits loads, refuses stores; once unmapped and
+   shot down, the address faults again. *)
+let test_unmapped_faults () =
+  let m, pt, core = setup () in
+  let va = 0x40000 in
+  let faults f =
+    match f () with
+    | _ -> "none"
+    | exception Machine.Page_fault _ -> "page"
+    | exception Machine.Protection_fault _ -> "prot"
+  in
+  Alcotest.(check string) "unmapped load" "page" (faults (fun () -> ignore (Core.load8 core ~va)));
+  let f = Pm.alloc_frame (Machine.mem m) in
+  Page_table.map pt ~va ~pa:(Pm.base_of_frame f) ~prot:Prot.r ~size:Page_table.P4K;
+  Alcotest.(check string) "read-only load" "none" (faults (fun () -> ignore (Core.load8 core ~va)));
+  Alcotest.(check string) "read-only store" "prot" (faults (fun () -> Core.store8 core ~va 1));
+  Page_table.unmap_range pt ~va ~pages:1;
+  Sj_tlb.Tlb.invalidate_page (Core.tlb core) ~va;
+  Alcotest.(check string) "after unmap" "page" (faults (fun () -> ignore (Core.load8 core ~va)))
+
+(* A protection change without a shootdown leaves the cached entry's
+   rights in force until the TLB is flushed. *)
+let test_protection_changes () =
+  let _, pt, core = setup () in
+  let va = 0x12000 in
+  Core.store8 core ~va 42;
+  Page_table.protect pt ~va ~size:Page_table.P4K ~prot:Prot.r;
+  Core.store8 core ~va 43;
+  Alcotest.(check int) "stale writable entry still admits the store" 43 (Core.load8 core ~va);
+  Sj_tlb.Tlb.flush_nonglobal (Core.tlb core);
+  Alcotest.(check bool) "store faults after the flush" true
+    (try
+       Core.store8 core ~va 44;
+       false
+     with Machine.Protection_fault _ -> true);
+  Alcotest.(check int) "value unchanged" 43 (Core.load8 core ~va)
+
+(* Key rights are checked against the current register at every TLB
+   hit: narrowing the register faults a warm entry with no flush and no
+   new miss, and widening it again lets the access through. *)
+let test_pkey_switch_cached_hits () =
+  let _, pt, core = setup () in
+  let va = 0x13000 in
+  Page_table.set_key pt ~va ~size:Page_table.P4K ~key:1;
+  Core.store8 core ~va 42;
+  let tlb = Core.tlb core in
+  let misses = Core.tlb_misses core and flushes = (Sj_tlb.Tlb.stats tlb).flushes in
+  let key_faults f = try f (); false with Machine.Key_fault _ -> true in
+  Core.set_pkru core (Sj_paging.Pkey.set Sj_paging.Pkey.default ~key:1 Sj_paging.Pkey.Denied);
+  Alcotest.(check bool) "warm load key-faults" true (key_faults (fun () -> ignore (Core.load8 core ~va)));
+  Alcotest.(check bool) "warm store key-faults" true (key_faults (fun () -> Core.store8 core ~va 43));
+  Core.set_pkru core (Sj_paging.Pkey.set Sj_paging.Pkey.default ~key:1 Sj_paging.Pkey.Ro);
+  Alcotest.(check int) "read-only key admits the load" 42 (Core.load8 core ~va);
+  Alcotest.(check bool) "and refuses the store" true (key_faults (fun () -> Core.store8 core ~va 43));
+  Core.set_pkru core Sj_paging.Pkey.default;
+  Core.store8 core ~va 44;
+  Alcotest.(check int) "open register" 44 (Core.load8 core ~va);
+  Alcotest.(check int) "no new misses" misses (Core.tlb_misses core);
+  Alcotest.(check int) "no flushes" flushes (Sj_tlb.Tlb.stats tlb).flushes
+
 let suite =
   [
     Alcotest.test_case "CR3 write costs" `Quick test_cr3_cost;
@@ -186,4 +301,10 @@ let suite =
     Alcotest.test_case "tagged switch preserves TLB" `Quick test_tagged_switch_preserves;
     Alcotest.test_case "Table 2 switch costs" `Quick test_vas_switch_cost_table2;
     Alcotest.test_case "NUMA remote access dearer" `Quick test_numa_remote_dearer;
+    Alcotest.test_case "page-crossing bulk ops" `Quick test_page_crossing_bulk;
+    Alcotest.test_case "overlapping memcpy" `Quick test_overlapping_memcpy;
+    Alcotest.test_case "2 MiB pages" `Quick test_huge_page;
+    Alcotest.test_case "unmapped faults" `Quick test_unmapped_faults;
+    Alcotest.test_case "protection changes" `Quick test_protection_changes;
+    Alcotest.test_case "pkey switch on cached hits" `Quick test_pkey_switch_cached_hits;
   ]

@@ -15,7 +15,6 @@ module Ring = Sj_obs.Ring
 module Recorder = Sj_obs.Recorder
 module Metrics = Sj_obs.Metrics
 module Trace = Sj_obs.Trace
-module Suite = Sj_bench.Suite
 module Sys = Sj_abi.Sys
 module Error = Sj_abi.Error
 
@@ -262,19 +261,11 @@ let test_stream_determinism_parallel () =
       rest
   | [] -> assert false)
 
-(* Tracing must be observation only: the tiny bench suite fingerprints
-   bit-identically with the recorder on and off, in both host modes. *)
+(* Tracing must be observation only: the shared workloads fingerprint
+   bit-identically with the recorder on and off. *)
 let test_disabled_fingerprint_identity () =
-  let benches = Suite.tiny_suite () in
-  List.iter
-    (fun fast ->
-      let off = Suite.run_serial ~trace:false ~fast benches in
-      let on = Suite.run_serial ~trace:true ~fast benches in
-      Alcotest.(check bool)
-        (Printf.sprintf "trace on/off bit-identical (fast_path=%b)" fast)
-        true
-        (Suite.fingerprints_equal off on))
-    [ false; true ]
+  Alcotest.(check bool) "trace on/off bit-identical" true
+    (Recorder.with_tracing false Workloads.run_all = Recorder.with_tracing true Workloads.run_all)
 
 (* --- every ABI entry is bracketed and counted --- *)
 

@@ -1,13 +1,12 @@
 (* Domain-parallelism tests: world state is per-simulation (no
    process-global counters), the Par work pool behaves as specified,
-   and the bench suite is bit-identical serial vs domain-parallel. *)
+   and the shared workloads are bit-identical serial vs domain-parallel. *)
 
 open Sj_util
 module Machine = Sj_machine.Machine
 module Api = Sj_core.Api
 module Vas = Sj_core.Vas
 module Segment = Sj_core.Segment
-module Suite = Sj_bench.Suite
 
 (* Two machines built in sequence (or anywhere else) must hand out
    identical ids and addresses — every counter hangs off the machine's
@@ -71,17 +70,6 @@ let test_par_map_sharded () =
         "map_sharded on []" []
         (Par.map_sharded pool ~shards:8 (fun x -> x) []))
 
-(* A multi-shard bench's fingerprint is the elementwise sum of its
-   shards' fingerprints, with the shards' key order preserved. *)
-let test_shard_merge () =
-  let mk k () = [ ("a", 10 * k); ("b", k) ] in
-  let b = { Suite.bname = "merged"; shards = [| mk 1; mk 2; mk 4 |] } in
-  let r = Suite.run_one ~fast:true b in
-  Alcotest.(check (list (pair string int)))
-    "merged fingerprint sums shards"
-    [ ("a", 70); ("b", 7) ]
-    r.Suite.fp
-
 let test_par_error_lowest_index () =
   let got =
     try
@@ -95,31 +83,13 @@ let test_par_error_lowest_index () =
   in
   Alcotest.(check int) "lowest failing index reported" 2 got
 
-(* The bench suite must fingerprint identically run serially and fanned
-   across 4 domains, in both host fast-path modes (the ISSUE's
-   parallel-determinism criterion, at unit-test problem sizes). *)
+(* The shared workloads must fingerprint identically run serially and
+   fanned across 4 domains. *)
 let test_parallel_determinism () =
-  let benches = Suite.tiny_suite () in
-  List.iter
-    (fun fast ->
-      let serial = Suite.run_serial ~fast benches in
-      let par, _wall =
-        Par.with_pool ~size:4 (fun pool -> Suite.run_parallel pool ~fast benches)
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "serial vs -j 4 bit-identical (fast_path=%b)" fast)
-        true
-        (Suite.fingerprints_equal serial par))
-    [ false; true ]
-
-(* And across modes: the same suite simulates the same world whether
-   the host uses the slow or fast path. *)
-let test_mode_determinism () =
-  let benches = Suite.tiny_suite () in
-  let slow = Suite.run_serial ~fast:false benches in
-  let fast = Suite.run_serial ~fast:true benches in
-  Alcotest.(check bool) "slow vs fast path bit-identical" true
-    (Suite.fingerprints_equal slow fast)
+  let par =
+    Par.with_pool ~size:4 (fun pool -> Par.map_list pool (fun (name, w) -> (name, w ())) Workloads.all)
+  in
+  Alcotest.(check bool) "serial vs -j 4 bit-identical" true (Workloads.run_all () = par)
 
 let suite =
   [
@@ -128,7 +98,5 @@ let suite =
     Alcotest.test_case "par size-1 inline" `Quick test_par_inline_when_size_one;
     Alcotest.test_case "par error lowest index" `Quick test_par_error_lowest_index;
     Alcotest.test_case "par map_sharded" `Quick test_par_map_sharded;
-    Alcotest.test_case "shard merge" `Quick test_shard_merge;
     Alcotest.test_case "parallel determinism" `Quick test_parallel_determinism;
-    Alcotest.test_case "mode determinism" `Quick test_mode_determinism;
   ]
